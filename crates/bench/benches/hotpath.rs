@@ -13,12 +13,27 @@
 //! small value for a quick smoke) and `TRNG_HOTPATH_GATE_NS` to make
 //! the run fail when raw-bit cost exceeds that many ns/bit (the CI
 //! regression gate). `TRNG_BENCH_OUT_DIR` redirects the JSON report.
+//!
+//! A second table times the SP 800-90B gate: the per-bit
+//! `OnlineHealth::push` oracle against the word-level `push_word` the
+//! pool shards run, over the same buffer in the same process.
+//! `TRNG_HOTPATH_GATE_MIN_SPEEDUP` fails the run when the word gate is
+//! less than that many times faster — a same-process ratio, so it
+//! holds on any host.
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
+use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::{CarryChainTrng, TrngConfig};
 use trng_fpga_sim::noise::NoiseBackend;
 use trng_testkit::json::Json;
+use trng_testkit::prng::{RngCore, SeedableRng, StdRng};
+
+/// Bytes the gate rows run over (uniform, so neither gate alarms).
+const GATE_BYTES: usize = 256 * 1024;
+/// The gate rows' claimed min-entropy: the paper's k = 1 eq. (7) bound.
+const GATE_CLAIM: f64 = 0.4215;
 
 /// Pre-optimization cost of one raw bit (ns), `paper_k1`, this host.
 const BEFORE_RAW_NS_PER_BIT: f64 = 2909.7;
@@ -65,6 +80,58 @@ fn measure(
         wall_mbps: bits / wall.as_secs_f64() / 1e6,
         before_ns_per_bit: before_ns,
     }
+}
+
+/// Best-of-three wall time of `run`.
+fn best_of_three(mut run: impl FnMut()) -> Duration {
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed()
+        })
+        .min()
+        .expect("three runs")
+}
+
+/// ns per raw bit of the per-bit and the word-level gate over the
+/// same buffer.
+fn gate_rows() -> (f64, f64) {
+    let mut buf = vec![0u8; GATE_BYTES];
+    let mut rng = StdRng::seed_from_u64(0x90B);
+    for chunk in buf.chunks_mut(8) {
+        chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+    }
+    let per_bit = best_of_three(|| {
+        let mut gate = OnlineHealth::new(GATE_CLAIM);
+        for &byte in black_box(&buf) {
+            for k in (0..8).rev() {
+                let _ = gate.push(byte >> k & 1 == 1);
+            }
+        }
+        assert_eq!(
+            black_box(gate).status(),
+            HealthStatus::Ok,
+            "uniform bytes alarmed"
+        );
+    });
+    let word = best_of_three(|| {
+        let mut gate = OnlineHealth::new(GATE_CLAIM);
+        for chunk in black_box(&buf).chunks_exact(8) {
+            let word = u64::from_be_bytes(chunk.try_into().expect("8 bytes"));
+            let _ = gate.push_word(word, 64);
+        }
+        assert_eq!(
+            black_box(gate).status(),
+            HealthStatus::Ok,
+            "uniform bytes alarmed"
+        );
+    });
+    let bits = GATE_BYTES as f64 * 8.0;
+    (
+        per_bit.as_nanos() as f64 / bits,
+        word.as_nanos() as f64 / bits,
+    )
 }
 
 fn main() {
@@ -133,6 +200,22 @@ fn main() {
         })
         .collect();
 
+    let (per_bit_ns, word_ns) = gate_rows();
+    let gate_speedup = per_bit_ns / word_ns;
+    println!(
+        "\n{:>20} {:>10} {:>14} {:>14} {:>12} {:>9}",
+        "90B gate", "bytes", "per-bit ns/bit", "word ns/bit", "word Mb/s", "speedup"
+    );
+    println!(
+        "{:>20} {:>10} {:>14.2} {:>14.2} {:>12.1} {:>8.2}x",
+        "online_health",
+        GATE_BYTES,
+        per_bit_ns,
+        word_ns,
+        1e3 / word_ns,
+        gate_speedup
+    );
+
     let report = Json::obj(vec![
         ("group", Json::str("hotpath")),
         ("config", Json::str("paper_k1_n3_m36_k1_np7")),
@@ -150,6 +233,16 @@ fn main() {
             ),
         ),
         ("benchmarks", Json::Arr(benchmarks)),
+        (
+            "gate",
+            Json::obj(vec![
+                ("bytes", Json::num(GATE_BYTES as f64)),
+                ("claimed_min_entropy", Json::num(GATE_CLAIM)),
+                ("per_bit_ns_per_bit", Json::num(per_bit_ns)),
+                ("word_ns_per_bit", Json::num(word_ns)),
+                ("speedup", Json::num(gate_speedup)),
+            ]),
+        ),
     ]);
     let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
     let path = std::path::Path::new(&dir).join("BENCH_hotpath.json");
@@ -180,5 +273,14 @@ fn main() {
             scalar.ns_per_bit
         );
         println!("batched gate ok: {speedup:.2}x >= {min_speedup:.1}x over scalar");
+    }
+
+    if let Some(min_speedup) = env_f64("TRNG_HOTPATH_GATE_MIN_SPEEDUP") {
+        assert!(
+            gate_speedup >= min_speedup,
+            "word-level 90B gate is only {gate_speedup:.2}x the per-bit gate \
+             ({word_ns:.2} vs {per_bit_ns:.2} ns/bit), CI gate requires >= {min_speedup:.1}x"
+        );
+        println!("90B gate ok: word {gate_speedup:.2}x >= {min_speedup:.1}x per-bit");
     }
 }

@@ -100,6 +100,90 @@ impl RepetitionCountTest {
         self.status()
     }
 
+    /// Feeds the first `nbits` bits of `word`, stream-first bit at
+    /// bit 63, leaving the test in exactly the state `nbits` calls to
+    /// [`push`](Self::push) would. Returns the offset within the word
+    /// of the first bit whose `push` would have reported `Alarm`, or
+    /// `None` when every bit passed.
+    ///
+    /// Runs are read from the boundary mask `x ^ (x >> 1)` (with the
+    /// carried bit shifted in on top): its leading zeros extend the
+    /// carried run and its trailing zeros give the run left open at
+    /// the end of the word. Interior runs are walked boundary by
+    /// boundary only when the mask has a 16-bit boundary-free stretch,
+    /// since the cutoff is never below 21.
+    ///
+    /// # Panics
+    ///
+    /// When `nbits` is not in `1..=64`.
+    pub fn push_word(&mut self, word: u64, nbits: u32) -> Option<u32> {
+        assert!((1..=64).contains(&nbits), "word of {nbits} bits");
+        let valid = top_bits(nbits);
+        let x = word & valid;
+        // Bit 63 of `d` flags a boundary before the word's first bit: a
+        // flip from the carried bit, or no carried run at all.
+        let carry = match self.last {
+            Some(bit) => u64::from(bit) << 63,
+            None => !x & 1 << 63,
+        };
+        let d = (x ^ (x >> 1 | carry)) & valid;
+        // The first `lead` bits extend the carried run, which is below
+        // the cutoff unless the test is already latched.
+        let lead = d.leading_zeros().min(nbits);
+        let latched = self.alarmed;
+        let first = if latched {
+            None
+        } else if self.run + lead >= self.cutoff {
+            Some(self.cutoff - self.run - 1)
+        } else {
+            self.interior_alarm(d, lead, nbits)
+        };
+        if d == 0 {
+            self.run += nbits;
+        } else {
+            self.run = nbits - (63 - d.trailing_zeros());
+            self.last = Some(x >> (64 - nbits) & 1 == 1);
+        }
+        self.alarmed |= first.is_some();
+        if latched {
+            Some(0)
+        } else {
+            first
+        }
+    }
+
+    /// Offset of the bit completing the first run of `cutoff` equal
+    /// bits that starts at or after position `lead` of the boundary
+    /// mask `d` (position `i` is bit `63 − i`; `lead` is a boundary,
+    /// or `nbits` when the word has none).
+    fn interior_alarm(&self, d: u64, lead: u32, nbits: u32) -> Option<u32> {
+        // Boundary-free positions after `lead`: a run of length `L`
+        // leaves `L − 1` of them in a row, so without 16 in a row no
+        // run reaches the cutoff of at least 21.
+        let mut z = !d & top_bits(nbits) & u64::MAX.checked_shr(lead + 1).unwrap_or(0);
+        z &= z << 1;
+        z &= z << 2;
+        z &= z << 4;
+        z &= z << 8;
+        if z == 0 {
+            return None;
+        }
+        let mut start = lead;
+        while start < nbits {
+            let later = d & u64::MAX.checked_shr(start + 1).unwrap_or(0);
+            let next = if later == 0 {
+                nbits
+            } else {
+                later.leading_zeros()
+            };
+            if next - start >= self.cutoff {
+                return Some(start + self.cutoff - 1);
+            }
+            start = next;
+        }
+        None
+    }
+
     /// Latched status: once alarmed, stays alarmed until reset.
     pub fn status(&self) -> HealthStatus {
         if self.alarmed {
@@ -191,6 +275,55 @@ impl AdaptiveProportionTest {
         self.status()
     }
 
+    /// Feeds the first `nbits` bits of `word`, stream-first bit at
+    /// bit 63, leaving the test in exactly the state `nbits` calls to
+    /// [`push`](Self::push) would. Returns the offset within the word
+    /// of the first bit whose `push` would have reported `Alarm`, or
+    /// `None` when every bit passed.
+    ///
+    /// Each stretch of the word that falls inside one window costs a
+    /// single masked popcount; only the alarm itself is located bit by
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// When `nbits` is not in `1..=64`.
+    pub fn push_word(&mut self, word: u64, nbits: u32) -> Option<u32> {
+        assert!((1..=64).contains(&nbits), "word of {nbits} bits");
+        let latched = self.alarmed;
+        let mut first = None;
+        let mut pos = 0;
+        while pos < nbits {
+            let x = word << pos;
+            let Some(reference) = self.reference else {
+                self.reference = Some(x >> 63 == 1);
+                self.count = 1;
+                self.seen = 1;
+                pos += 1;
+                continue;
+            };
+            let len = (self.window - self.seen).min(nbits - pos);
+            let mask = top_bits(len);
+            let hits = if reference { x & mask } else { !x & mask };
+            let n = hits.count_ones();
+            if !latched && first.is_none() && self.count + n >= self.cutoff {
+                first = Some(pos + nth_set_from_top(hits, self.cutoff - self.count));
+            }
+            self.count += n;
+            self.seen += len;
+            if self.seen == self.window {
+                self.reference = None;
+            }
+            pos += len;
+        }
+        self.alarmed |= first.is_some();
+        if latched {
+            Some(0)
+        } else {
+            first
+        }
+    }
+
     /// Latched status.
     pub fn status(&self) -> HealthStatus {
         if self.alarmed {
@@ -249,6 +382,29 @@ impl OnlineHealth {
         }
     }
 
+    /// Feeds the first `nbits` bits of `word` — the stream-first bit
+    /// at bit 63, so a big-endian load of raw bytes keeps stream
+    /// order — to both continuous tests. Equivalent to `nbits` calls
+    /// to [`push`](Self::push), which stays the reference it is
+    /// differentially tested against: the state afterwards is
+    /// identical, and the return value is the offset of the first bit
+    /// whose `push` would have reported `Alarm` (`Some(0)` when the
+    /// monitor was already latched), or `None` when every bit passed.
+    ///
+    /// # Panics
+    ///
+    /// When `nbits` is not in `1..=64`.
+    pub fn push_word(&mut self, word: u64, nbits: u32) -> Option<u32> {
+        let latched = self.status() == HealthStatus::Alarm;
+        let repetition = self.repetition.push_word(word, nbits);
+        let proportion = self.proportion.push_word(word, nbits);
+        if latched {
+            Some(0)
+        } else {
+            repetition.into_iter().chain(proportion).min()
+        }
+    }
+
     /// Reports the observed missed-edge statistics (e.g. from
     /// [`TrngStats`](crate::trng::TrngStats)).
     pub fn report_missed_edges(&mut self, missed: u64, samples: u64) -> HealthStatus {
@@ -276,6 +432,20 @@ impl OnlineHealth {
         self.proportion.reset();
         self.missed_alarm = false;
     }
+}
+
+/// A mask of the top `n` bits of a word (`n` in `0..=64`).
+pub(crate) fn top_bits(n: u32) -> u64 {
+    !u64::MAX.checked_shr(n).unwrap_or(0)
+}
+
+/// Offset from the top of the `n`-th set bit of `bits` (`n >= 1`,
+/// and `bits` has at least `n` set bits).
+fn nth_set_from_top(mut bits: u64, n: u32) -> u32 {
+    for _ in 1..n {
+        bits ^= 1 << (63 - bits.leading_zeros());
+    }
+    bits.leading_zeros()
 }
 
 #[cfg(test)]

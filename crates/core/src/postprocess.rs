@@ -6,6 +6,8 @@
 //! This module is the streaming implementation used on generated
 //! bitstreams.
 
+use crate::health::top_bits;
+
 /// Streaming XOR compressor with rate `np`.
 ///
 /// # Examples
@@ -64,6 +66,36 @@ impl XorCompressor {
         } else {
             None
         }
+    }
+
+    /// Feeds the first `nbits` bits of `word` (stream-first bit at bit
+    /// 63), folding each `np`-bit group with a mask and a popcount
+    /// parity; a group left open at the end of the word carries over
+    /// to the next call exactly as with [`push`](Self::push). Returns
+    /// the output bits packed the same way — first output at bit 63 —
+    /// and their count.
+    ///
+    /// # Panics
+    ///
+    /// When `nbits` is not in `1..=64`.
+    pub fn push_word(&mut self, word: u64, nbits: u32) -> (u64, u32) {
+        assert!((1..=64).contains(&nbits), "word of {nbits} bits");
+        let (mut out, mut emitted) = (0u64, 0u32);
+        let mut pos = 0;
+        while pos < nbits {
+            let take = (self.np - self.count).min(nbits - pos);
+            let group = word << pos & top_bits(take);
+            self.acc ^= group.count_ones() & 1 == 1;
+            self.count += take;
+            pos += take;
+            if self.count == self.np {
+                out |= u64::from(self.acc) << (63 - emitted);
+                emitted += 1;
+                self.acc = false;
+                self.count = 0;
+            }
+        }
+        (out, emitted)
     }
 
     /// Discards any partial accumulator state.

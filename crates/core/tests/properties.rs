@@ -7,6 +7,9 @@
 use trng_core::bubble::BubbleFilter;
 use trng_core::downsample::downsample;
 use trng_core::extractor::EntropyExtractor;
+use trng_core::health::{
+    HealthStatus, OnlineHealth, RepetitionCountTest, ADAPTIVE_PROPORTION_WINDOW,
+};
 use trng_core::postprocess::XorCompressor;
 use trng_core::rtl::{extract_packed, PackedWord};
 use trng_core::snippet::{Snippet, SnippetKind};
@@ -164,5 +167,162 @@ props! {
         let packed: Vec<PackedWord> = lines.iter().map(|l| PackedWord::pack(l)).collect();
         let got = extract_packed(&packed, k);
         assert_eq!(got, expected);
+    }
+}
+
+/// Claims spanning the cutoff range: repetition cutoffs 401 down to 21.
+const CLAIMS: [f64; 5] = [0.05, 0.3, 0.4215, 0.9, 1.0];
+
+/// Packs up to 64 bits MSB-first — the word gate's stream order.
+fn word_of(bits: &[bool]) -> u64 {
+    bits.iter()
+        .enumerate()
+        .fold(0u64, |w, (i, &b)| w | u64::from(b) << (63 - i))
+}
+
+/// A word width: mostly whole words, sometimes a short tail.
+fn width(rng: &mut StdRng) -> usize {
+    if rng.gen_range(0u32..4) == 0 {
+        rng.gen_range(1usize..=64)
+    } else {
+        64
+    }
+}
+
+/// Stream shapes the gate must judge identically bit by bit and word
+/// by word.
+fn stream(rng: &mut StdRng, kind: u32, len: usize) -> Vec<bool> {
+    match kind {
+        0 => (0..len).map(|_| rng.gen::<bool>()).collect(),
+        1 => {
+            let p = pick(rng, &[0.6, 0.75, 0.9, 0.97]);
+            (0..len).map(|_| rng.gen::<f64>() < p).collect()
+        }
+        2 => vec![false; len],
+        3 => vec![true; len],
+        // Campaign-like: healthy, then a drifting bias ramp, then an
+        // injection-locked period with rare slips, then healthy again.
+        _ => {
+            let period = rng.gen_range(2usize..12);
+            let pattern: Vec<bool> = (0..period).map(|_| rng.gen::<bool>()).collect();
+            (0..len)
+                .map(|i| match i * 4 / len {
+                    0 | 3 => rng.gen::<bool>(),
+                    1 => rng.gen::<f64>() < 0.5 + 0.45 * (i % (len / 4)) as f64 / (len / 4) as f64,
+                    _ => pattern[i % period] ^ (rng.gen_range(0u32..64) == 0),
+                })
+                .collect()
+        }
+    }
+}
+
+/// Overwrites `bits[at..at + len]` with an exact run of `value`,
+/// fenced by opposite bits so its length is exactly `len`.
+fn plant_run(bits: &mut [bool], at: usize, len: usize, value: bool) {
+    bits[at - 1] = !value;
+    bits[at..at + len].fill(value);
+    bits[at + len] = !value;
+}
+
+/// Drives the per-bit oracle and the word gate over `bits`: the first
+/// `lead` bits go to both through `push` (so later words straddle
+/// proportion windows), the rest in words of random width. The two
+/// must agree on the whole state after every word and on the index of
+/// the first alarmed bit. Returns that index.
+fn word_gate_agrees_with_oracle(
+    rng: &mut StdRng,
+    claim: f64,
+    bits: &[bool],
+    lead: usize,
+) -> Option<usize> {
+    let mut oracle = OnlineHealth::new(claim);
+    let mut gate = OnlineHealth::new(claim);
+    let (mut oracle_first, mut gate_first) = (None, None);
+    for (i, &b) in bits[..lead].iter().enumerate() {
+        if oracle.push(b) == HealthStatus::Alarm && oracle_first.is_none() {
+            oracle_first = Some(i);
+        }
+        let _ = gate.push(b);
+    }
+    gate_first = gate_first.or(oracle_first);
+    let mut pos = lead;
+    while pos < bits.len() {
+        let w = width(rng).min(bits.len() - pos);
+        let chunk = &bits[pos..pos + w];
+        for (i, &b) in chunk.iter().enumerate() {
+            if oracle.push(b) == HealthStatus::Alarm && oracle_first.is_none() {
+                oracle_first = Some(pos + i);
+            }
+        }
+        if let Some(at) = gate.push_word(word_of(chunk), w as u32) {
+            gate_first = gate_first.or(Some(pos + at as usize));
+        }
+        assert_eq!(
+            gate, oracle,
+            "claim {claim}: state after the word at bit {pos}"
+        );
+        pos += w;
+    }
+    assert_eq!(gate_first, oracle_first, "claim {claim}: first alarm");
+    oracle_first
+}
+
+props! {
+    fn word_gate_matches_per_bit_gate_on_every_stream_shape(rng) {
+        let lead = rng.gen_range(0usize..ADAPTIVE_PROPORTION_WINDOW as usize);
+        for claim in CLAIMS {
+            for kind in 0..5 {
+                let bits = stream(rng, kind, lead + 4096);
+                let first = word_gate_agrees_with_oracle(rng, claim, &bits, lead);
+                if matches!(kind, 2 | 3) {
+                    assert!(first.is_some(), "a stuck stream must alarm at claim {claim}");
+                }
+            }
+        }
+    }
+
+    fn word_gate_matches_per_bit_gate_on_runs_straddling_words(rng) {
+        let lead = rng.gen_range(0usize..64);
+        for claim in CLAIMS {
+            let cutoff = RepetitionCountTest::new(claim).cutoff() as usize;
+            for len in [cutoff - 1, cutoff, cutoff + 1] {
+                let mut bits = stream(rng, 0, lead + 2048 + 2 * cutoff);
+                // Start the run so that it crosses a word boundary of
+                // the word stream that begins at `lead`.
+                let boundary = lead + 64 * rng.gen_range(2usize..8);
+                let at = boundary - rng.gen_range(1..len.min(64));
+                plant_run(&mut bits, at, len, rng.gen::<bool>());
+                let first = word_gate_agrees_with_oracle(rng, claim, &bits, lead);
+                if len >= cutoff {
+                    assert!(first.is_some_and(|i| i < at + cutoff), "claim {claim} len {len}");
+                }
+            }
+        }
+    }
+
+    fn xor_fold_matches_per_bit_compressor(rng) {
+        let np = pick(rng, &[1u32, 2, 3, 7, 13, 64, 65, 100]);
+        let bits = vec_bool(rng, 200..2000);
+        let mut oracle = XorCompressor::new(np);
+        let mut folded = XorCompressor::new(np);
+        // A partial group is carried into the first word.
+        let carried = rng.gen_range(0..bits.len().min(np as usize));
+        let mut expected = Vec::new();
+        let mut got = Vec::new();
+        for &b in &bits[..carried] {
+            expected.extend(oracle.push(b));
+            got.extend(folded.push(b));
+        }
+        let mut pos = carried;
+        while pos < bits.len() {
+            let w = width(rng).min(bits.len() - pos);
+            let chunk = &bits[pos..pos + w];
+            expected.extend(chunk.iter().filter_map(|&b| oracle.push(b)));
+            let (out, n) = folded.push_word(word_of(chunk), w as u32);
+            got.extend((0..n).map(|i| out >> (63 - i) & 1 == 1));
+            assert_eq!(folded, oracle, "np {np}: state after the word at bit {pos}");
+            pos += w;
+        }
+        assert_eq!(got, expected, "np {np}");
     }
 }

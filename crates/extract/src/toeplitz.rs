@@ -240,6 +240,49 @@ impl ToeplitzExtractor {
         Some(word)
     }
 
+    /// Absorbs the first `nbits` bits of `word`, stream-first bit at
+    /// bit 63, in one shot; returns the output block when they
+    /// complete it, exactly as `nbits` calls to [`push`](Self::push)
+    /// would. Input bits past a completed block start the next one.
+    ///
+    /// # Panics
+    ///
+    /// When `nbits` is not in `1..=64` or exceeds the input block `n`
+    /// (then one word could complete two blocks).
+    pub fn push_word(&mut self, word: u64, nbits: u32) -> Option<u64> {
+        let nbits = nbits as usize;
+        assert!(
+            (1..=64).contains(&nbits) && nbits <= self.matrix.n,
+            "word of {nbits} bits into {}-bit blocks",
+            self.matrix.n
+        );
+        let take = (self.matrix.n - self.filled).min(nbits);
+        self.deposit(word, take);
+        if self.filled < self.matrix.n {
+            return None;
+        }
+        let out = self.matrix.mul_packed_word(&self.xrev);
+        self.reset();
+        if nbits > take {
+            self.deposit(word << take, nbits - take);
+        }
+        Some(out)
+    }
+
+    /// Places the top `take` bits of `x` (`1..=64`, never past the
+    /// block) as the next arrivals: arrival `j` lands at bit `n−1−j`,
+    /// so the word's bits keep their order, ending at bit `low`.
+    fn deposit(&mut self, x: u64, take: usize) {
+        let low = self.matrix.n - self.filled - take;
+        let bits = x >> (64 - take);
+        let (w, s) = (low / 64, low % 64);
+        self.xrev[w] |= bits << s;
+        if s + take > 64 {
+            self.xrev[w + 1] |= bits >> (64 - s);
+        }
+        self.filled += take;
+    }
+
     /// Discards any partial input block; the matrix is kept.
     pub fn reset(&mut self) {
         for w in &mut self.xrev {

@@ -108,4 +108,39 @@ props! {
             assert_eq!(unpack(&[word], m), reference, "m={m} n={n} block {k}");
         }
     }
+
+    /// Word-at-a-time absorption emits exactly the per-bit blocks,
+    /// including with a partial block carried into the first word and
+    /// words that complete a block part-way through.
+    fn push_word_matches_per_bit_push(rng) {
+        let m = rng.gen_range(1usize..=64);
+        let n = rng.gen_range(1usize..400);
+        let seed = rng.gen::<u64>();
+        let mut oracle = ToeplitzExtractor::from_seed(m, n, seed);
+        let mut words = ToeplitzExtractor::from_seed(m, n, seed);
+        let bits = random_bits(rng, 3 * n + 200);
+        let carried = rng.gen_range(0..n);
+        let mut expected = Vec::new();
+        let mut got = Vec::new();
+        for &b in &bits[..carried] {
+            expected.extend(oracle.push(b));
+            got.extend(words.push(b));
+        }
+        assert_eq!(words.pending_input_bits(), carried);
+        let mut pos = carried;
+        while pos < bits.len() {
+            let w = rng.gen_range(1usize..=64).min(n).min(bits.len() - pos);
+            let chunk = &bits[pos..pos + w];
+            expected.extend(chunk.iter().filter_map(|&b| oracle.push(b)));
+            let word = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (i, &b)| acc | u64::from(b) << (63 - i));
+            got.extend(words.push_word(word, w as u32));
+            assert_eq!(words.pending_input_bits(), oracle.pending_input_bits());
+            pos += w;
+        }
+        assert!(!expected.is_empty());
+        assert_eq!(got, expected, "m={m} n={n}");
+    }
 }

@@ -5,9 +5,9 @@
 //!
 //! * **threaded** (default) — one worker thread per shard, each
 //!   feeding a bounded lock-free SPSC ring; the pool handle drains
-//!   the rings round-robin. Workers park briefly when their ring is
-//!   full (backpressure), the consumer parks briefly when every ring
-//!   is empty.
+//!   the rings round-robin. Workers park when their ring is full
+//!   (backpressure) and the consumer parks when every ring is empty;
+//!   the other side of the ring unparks them (see [`ring`]).
 //! * **deterministic replay** — no threads: shards are stepped
 //!   round-robin inside the consumer's call, so a given
 //!   `(PoolConfig, seed)` always yields the byte-identical stream and
@@ -38,7 +38,10 @@ use crate::ring;
 use crate::shard::{mix_seed, Conditioning, FaultInjection, Shard};
 use crate::stats::{ComposedStats, PoolStats, ShardShared, ShardState};
 
-/// How long a parked worker or consumer naps before re-checking.
+/// Longest a worker or consumer stays parked on its ring without a
+/// wakeup — the fallback that bounds what a lost wakeup costs (the
+/// park/unpark protocol is in DESIGN.md §8, "Transport and
+/// backpressure") — and the admission poll interval.
 const NAP: Duration = Duration::from_micros(200);
 
 /// Elastic shard management: when retirements drop the number of
@@ -1218,7 +1221,12 @@ impl EntropyPool {
     ) -> Result<(), PoolError> {
         let mut filled = 0usize;
         let mut waited = Duration::ZERO;
+        // Start of the current run of sweeps that found every ring
+        // empty: the wall time until a sweep finds bytes (or the fill
+        // gives up) is refill wait.
+        let mut empty_since: Option<Instant> = None;
         while filled < dest.len() {
+            let sweep = Instant::now();
             self.supervise();
             // Read states *before* the drain sweep: workers that were
             // already retired then cannot add bytes afterwards, so an
@@ -1242,20 +1250,25 @@ impl EntropyPool {
             }
             self.rr = (rr + 1) % n;
             filled += got;
-            if got == 0 {
-                if all_retired && !can_heal {
-                    self.max_refill_wait = self.max_refill_wait.max(waited);
-                    return Err(PoolError::SourcesExhausted { filled });
+            if got > 0 {
+                if let Some(since) = empty_since.take() {
+                    waited += sweep.duration_since(since);
                 }
-                if let Some(deadline) = deadline {
-                    if Instant::now() >= deadline {
-                        self.max_refill_wait = self.max_refill_wait.max(waited);
-                        return Err(PoolError::Timeout { filled });
-                    }
-                }
-                std::thread::sleep(NAP);
-                waited += NAP;
+                continue;
             }
+            let since = *empty_since.get_or_insert(sweep);
+            let give_up = if all_retired && !can_heal {
+                Some(PoolError::SourcesExhausted { filled })
+            } else {
+                deadline
+                    .filter(|&d| Instant::now() >= d)
+                    .map(|_| PoolError::Timeout { filled })
+            };
+            if let Some(err) = give_up {
+                self.max_refill_wait = self.max_refill_wait.max(waited + since.elapsed());
+                return Err(err);
+            }
+            ring::wait_readable(&threaded.consumers, NAP);
         }
         self.max_refill_wait = self.max_refill_wait.max(waited);
         Ok(())
@@ -1382,6 +1395,8 @@ impl Drop for EntropyPool {
         if let Backend::Threaded(threaded) = &mut self.backend {
             threaded.stop.store(true, Ordering::Release);
             for handle in threaded.handles.drain(..).flatten() {
+                // A worker parked on a full ring sees `stop` at once.
+                handle.thread().unpark();
                 let _ = handle.join();
             }
         }
@@ -1400,8 +1415,9 @@ fn worker(mut shard: Shard, producer: ring::Producer, stop: Arc<AtomicBool>, blo
         if off < pending.len() {
             off += producer.push(&pending[off..]);
             if off < pending.len() {
-                // Ring full: the consumer is behind. Park briefly.
-                std::thread::sleep(NAP);
+                // Ring full: the consumer is behind. Park until it
+                // pops.
+                producer.wait_writable(NAP);
                 continue;
             }
         }
@@ -1516,6 +1532,46 @@ mod tests {
             }
             other => panic!("expected timeout, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn refill_wait_is_the_wall_time_a_fill_spent_on_empty_rings() {
+        // The only shard's first block trips a persistent fault with no
+        // re-admission left, and the respawn that could heal the pool
+        // is held back by a long backoff: every ring stays empty, yet
+        // the pool is not exhausted, so a bounded fill waits out its
+        // whole deadline on empty rings.
+        let config = PoolConfig::new(TrngConfig::paper_k1(), 1)
+            .with_seed(5)
+            .with_max_readmissions(0)
+            .with_fault(FaultInjection {
+                shard: 0,
+                after_bytes: 0,
+                fault: ShardFault::Config(Box::new(dead_config())),
+                transient: false,
+            })
+            .with_respawn(RespawnPolicy::new(1, 1).with_backoff(Duration::from_secs(600)));
+        let mut pool = EntropyPool::new(config).expect("pool");
+        let timeout = Duration::from_millis(200);
+        let mut buf = [0u8; 64];
+        let start = Instant::now();
+        let result = pool.try_fill_bytes(&mut buf, timeout);
+        let wall = start.elapsed();
+        assert!(
+            matches!(result, Err(PoolError::Timeout { filled: 0 })),
+            "{result:?}"
+        );
+        // The fill sat on empty rings from its first sweep, moments
+        // after the call, until past the deadline.
+        let waited = pool.stats().max_refill_wait;
+        assert!(
+            waited + Duration::from_millis(1) >= timeout,
+            "refill wait {waited:?} under-reports a {wall:?} fill on empty rings"
+        );
+        assert!(
+            waited <= wall,
+            "refill wait {waited:?} exceeds the {wall:?} fill"
+        );
     }
 
     #[test]

@@ -130,90 +130,207 @@ impl fmt::Display for Conditioning {
 
 #[derive(Debug, Clone)]
 enum Conditioner {
-    Xor(XorCompressor),
+    FixedRate(FixedRate),
+    /// Consumption is data-dependent, so raw bits are gated and
+    /// conditioned one at a time.
     VonNeumann(VonNeumann),
-    Raw,
-    Toeplitz(ToeplitzExtractor),
 }
 
-/// What one raw bit produced out of the conditioning stage: XOR and
-/// Von Neumann emit at most one bit per raw bit, the Toeplitz
-/// extractor emits a whole 64-bit block when a raw bit completes its
-/// input window.
-enum Emit {
-    Nothing,
-    Bit(bool),
-    /// Output bit `y_i` at word bit `i`; `y_0` is the stream-first bit.
-    Word(u64),
+/// Conditioners that consume a *fixed* number of raw bits per output
+/// bit, making a block's raw demand exactly computable up front
+/// (enables whole-byte batch fetching). The Toeplitz extractor is
+/// fixed-rate at block granularity: its 64-bit emissions divide the
+/// block exactly because block sizes are validated to a multiple of 8
+/// bytes. Every block therefore ends on an output boundary, and an
+/// alarm resets the conditioner, so no raw bits carry across blocks.
+#[derive(Debug, Clone)]
+enum FixedRate {
+    Xor(XorCompressor),
+    Raw,
+    Toeplitz(ToeplitzExtractor),
 }
 
 impl Conditioner {
     /// `shard_seed` derives the per-shard Toeplitz matrix lane; the
     /// other modes ignore it.
     fn new(mode: Conditioning, native_rate: u32, shard_seed: u64) -> Self {
-        match mode {
-            Conditioning::DesignXor => Conditioner::Xor(XorCompressor::new(native_rate)),
-            Conditioning::Xor(np) => Conditioner::Xor(XorCompressor::new(np)),
-            Conditioning::VonNeumann => Conditioner::VonNeumann(VonNeumann::new()),
-            Conditioning::Raw => Conditioner::Raw,
-            Conditioning::Toeplitz { ratio, seed } => Conditioner::Toeplitz(
+        let fixed = match mode {
+            Conditioning::DesignXor => FixedRate::Xor(XorCompressor::new(native_rate)),
+            Conditioning::Xor(np) => FixedRate::Xor(XorCompressor::new(np)),
+            Conditioning::VonNeumann => return Conditioner::VonNeumann(VonNeumann::new()),
+            Conditioning::Raw => FixedRate::Raw,
+            Conditioning::Toeplitz { ratio, seed } => FixedRate::Toeplitz(
                 ToeplitzExtractor::from_seed(64, ratio as usize * 64, mix_seed(seed, shard_seed)),
             ),
-        }
-    }
-
-    fn push(&mut self, bit: bool) -> Emit {
-        match self {
-            Conditioner::Xor(c) => c.push(bit).map_or(Emit::Nothing, Emit::Bit),
-            Conditioner::VonNeumann(v) => v.push(bit).map_or(Emit::Nothing, Emit::Bit),
-            Conditioner::Raw => Emit::Bit(bit),
-            Conditioner::Toeplitz(t) => t.push(bit).map_or(Emit::Nothing, Emit::Word),
-        }
+        };
+        Conditioner::FixedRate(fixed)
     }
 
     fn reset(&mut self) {
         match self {
-            Conditioner::Xor(c) => c.reset(),
-            Conditioner::VonNeumann(v) => *v = VonNeumann::new(),
-            Conditioner::Raw => {}
+            Conditioner::FixedRate(FixedRate::Xor(c)) => c.reset(),
+            Conditioner::FixedRate(FixedRate::Raw) => {}
             // Drops the partial input window; the seeded matrix is
             // configuration and survives so replay stays pure.
-            Conditioner::Toeplitz(t) => t.reset(),
+            Conditioner::FixedRate(FixedRate::Toeplitz(t)) => t.reset(),
+            Conditioner::VonNeumann(v) => *v = VonNeumann::new(),
         }
     }
+}
 
-    /// Expected raw bits per output bit (Von Neumann uses its fair-
-    /// source expectation of 4 raw bits per output bit).
-    fn raw_bits_per_output(&self) -> u64 {
+impl FixedRate {
+    /// Conditions the first `nbits` raw bits of `word` (stream-first
+    /// bit at bit 63) and appends the output through `packer`.
+    fn push_word(&mut self, word: u64, nbits: u32, packer: &mut BitPacker, out: &mut Vec<u8>) {
         match self {
-            Conditioner::Xor(c) => u64::from(c.rate()),
-            Conditioner::VonNeumann(_) => 4,
-            Conditioner::Raw => 1,
-            Conditioner::Toeplitz(t) => (t.input_block_bits() / t.output_block_bits()) as u64,
+            FixedRate::Raw => packer.push(word, nbits, out),
+            FixedRate::Xor(c) => {
+                let (bits, n) = c.push_word(word, nbits);
+                packer.push(bits, n, out);
+            }
+            // A Toeplitz emission carries the stream-first output bit
+            // `y_0` at word bit 0; reversed, it takes the MSB of the
+            // first byte and the block lands as 8 whole bytes.
+            FixedRate::Toeplitz(t) => {
+                if let Some(y) = t.push_word(word, nbits) {
+                    packer.push(y.reverse_bits(), 64, out);
+                }
+            }
         }
     }
 
-    /// `true` when the conditioner consumes a *fixed* number of raw
-    /// bits per output bit, making a block's raw demand exactly
-    /// computable up front (enables whole-byte batch fetching). The
-    /// Toeplitz extractor is fixed-rate at block granularity: its
-    /// 64-bit emissions divide the block exactly because block sizes
-    /// are validated to a multiple of 8 bytes.
-    fn is_fixed_rate(&self) -> bool {
-        !matches!(self, Conditioner::VonNeumann(_))
+    /// Raw bits per output bit.
+    fn rate(&self) -> u64 {
+        match self {
+            FixedRate::Xor(c) => u64::from(c.rate()),
+            FixedRate::Raw => 1,
+            FixedRate::Toeplitz(t) => (t.input_block_bits() / t.output_block_bits()) as u64,
+        }
     }
 
-    /// Raw bits already absorbed toward the next output (always less
-    /// than the rate — or, for Toeplitz, the input block — for
-    /// fixed-rate conditioners; Von Neumann's consumption is
-    /// data-dependent and reported as 0).
+    /// Raw bits already absorbed toward the next output; zero between
+    /// blocks.
     fn pending_raw_bits(&self) -> u64 {
         match self {
-            Conditioner::Xor(c) => u64::from(c.pending()),
-            Conditioner::Toeplitz(t) => t.pending_input_bits() as u64,
-            _ => 0,
+            FixedRate::Xor(c) => u64::from(c.pending()),
+            FixedRate::Raw => 0,
+            FixedRate::Toeplitz(t) => t.pending_input_bits() as u64,
         }
     }
+}
+
+/// Assembles conditioned output bits into bytes, MSB-first, a word at
+/// a time.
+#[derive(Debug, Default)]
+struct BitPacker {
+    /// Pending output bits, first at bit 63.
+    acc: u64,
+    len: u32,
+}
+
+impl BitPacker {
+    /// Appends the top `n` bits of `bits` (the rest zero), writing
+    /// out each completed 64-bit word.
+    fn push(&mut self, bits: u64, n: u32, out: &mut Vec<u8>) {
+        let free = 64 - self.len;
+        self.acc |= bits.checked_shr(self.len).unwrap_or(0);
+        if n < free {
+            self.len += n;
+            return;
+        }
+        out.extend_from_slice(&self.acc.to_be_bytes());
+        self.acc = bits.checked_shl(free).unwrap_or(0);
+        self.len = n - free;
+    }
+
+    /// Writes out the whole bytes still pending; a fixed-rate block
+    /// always ends on a byte boundary.
+    fn finish(&mut self, out: &mut Vec<u8>) {
+        debug_assert_eq!(self.len % 8, 0);
+        out.extend_from_slice(&self.acc.to_be_bytes()[..(self.len / 8) as usize]);
+        *self = BitPacker::default();
+    }
+}
+
+/// Fixed-rate conditioning (XOR / raw / Toeplitz): the block consumes
+/// exactly `block_bytes · 8 · rate` raw bits, so they are drawn
+/// through the batch API in chunks of up to 64 bytes and handled as
+/// `u64` words. Each chunk passes the health gate in full, word by
+/// word in stream order, before any of it enters the conditioner,
+/// which copies raw words, folds XOR groups or hashes Toeplitz blocks
+/// a word at a time. The per-bit [`OnlineHealth::push`] stays the
+/// oracle the word gate is differentially tested against. Returns
+/// `false` on an alarm.
+fn produce_fixed_rate(
+    conditioner: &mut FixedRate,
+    source: &mut dyn EntropySource,
+    health: &mut OnlineHealth,
+    out: &mut Vec<u8>,
+    block_bytes: usize,
+) -> bool {
+    debug_assert_eq!(conditioner.pending_raw_bits(), 0);
+    let mut chunk = [0u8; 64];
+    let mut words = [0u64; 8];
+    let mut packer = BitPacker::default();
+    let mut remaining = block_bytes * conditioner.rate() as usize;
+    while remaining > 0 {
+        let nbytes = remaining.min(chunk.len());
+        source.fill_raw(&mut chunk[..nbytes]);
+        for (word, part) in words.iter_mut().zip(chunk[..nbytes].chunks(8)) {
+            let mut be = [0u8; 8];
+            be[..part.len()].copy_from_slice(part);
+            *word = u64::from_be_bytes(be);
+        }
+        let nwords = nbytes.div_ceil(8);
+        let width = |i: usize| ((nbytes - 8 * i).min(8) * 8) as u32;
+        for (i, &word) in words[..nwords].iter().enumerate() {
+            if health.push_word(word, width(i)).is_some() {
+                return false;
+            }
+        }
+        for (i, &word) in words[..nwords].iter().enumerate() {
+            conditioner.push_word(word, width(i), &mut packer, out);
+        }
+        remaining -= nbytes;
+    }
+    packer.finish(out);
+    debug_assert_eq!(out.len(), block_bytes);
+    true
+}
+
+/// Variable-rate conditioning (Von Neumann): consumption is
+/// data-dependent, so bits are drawn, gated and conditioned one at a
+/// time until the block fills or the raw-spend bound trips (a
+/// health-passing source that still starves the extractor, as
+/// adversarial patterns can, is itself an entropy failure). The bound
+/// is 64 times the fair-source expectation of 4 raw bits per output
+/// bit. Returns `false` on an alarm.
+fn produce_von_neumann(
+    vn: &mut VonNeumann,
+    source: &mut dyn EntropySource,
+    health: &mut OnlineHealth,
+    out: &mut Vec<u8>,
+    block_bytes: usize,
+) -> bool {
+    let max_raw = (block_bytes as u64 * 8).saturating_mul(4 * 64);
+    let mut raw_spent = 0u64;
+    let (mut byte, mut nbits) = (0u8, 0u32);
+    while out.len() < block_bytes {
+        let raw = source.next_raw_bit();
+        raw_spent += 1;
+        if raw_spent > max_raw || health.push(raw) == HealthStatus::Alarm {
+            return false;
+        }
+        if let Some(bit) = vn.push(raw) {
+            byte = byte << 1 | u8::from(bit);
+            nbits += 1;
+            if nbits == 8 {
+                out.push(byte);
+                (byte, nbits) = (0, 0);
+            }
+        }
+    }
+    true
 }
 
 /// Deterministic mid-stream fault injection for tests and drills: once
@@ -422,38 +539,6 @@ impl Shard {
         }
     }
 
-    /// Feeds one raw bit through the health gate and, if it passes,
-    /// the conditioner (assembling output bytes MSB-first). Returns
-    /// `false` when the bit tripped a continuous-test alarm — the
-    /// caller must discard the block.
-    fn ingest(&mut self, raw: bool, out: &mut Vec<u8>, byte: &mut u8, nbits: &mut u32) -> bool {
-        if self.health.push(raw) == HealthStatus::Alarm {
-            return false;
-        }
-        let mut emit_bit = |bit: bool| {
-            *byte = *byte << 1 | u8::from(bit);
-            *nbits += 1;
-            if *nbits == 8 {
-                out.push(*byte);
-                *byte = 0;
-                *nbits = 0;
-            }
-        };
-        match self.conditioner.push(raw) {
-            Emit::Nothing => {}
-            Emit::Bit(bit) => emit_bit(bit),
-            // A Toeplitz emission: the whole 64-bit block lands at
-            // once, stream-first output bit (`y_0`, word bit 0) first
-            // so it takes the MSB of the first assembled byte.
-            Emit::Word(word) => {
-                for i in 0..64 {
-                    emit_bit(word >> i & 1 == 1);
-                }
-            }
-        }
-        true
-    }
-
     fn raise_alarm(&mut self) {
         self.alarms += 1;
         self.shared.count_alarm();
@@ -514,71 +599,15 @@ impl Shard {
             self.active_fault = Some(i);
             self.publish_source_label();
         }
-        // A health-passing source that still starves the conditioner
-        // (possible only for Von Neumann under adversarial patterns)
-        // is itself an entropy failure; bound the raw spend per block.
-        let max_raw = (block_bytes as u64 * 8)
-            .saturating_mul(self.conditioner.raw_bits_per_output())
-            .saturating_mul(64);
-        let mut raw_spent = 0u64;
-        let mut byte = 0u8;
-        let mut nbits = 0u32;
-        if self.conditioner.is_fixed_rate() {
-            // Fixed-rate conditioning (XOR / raw): the block consumes
-            // exactly `block_bytes · 8 · rate` raw bits, so they can be
-            // drawn from the source in whole bytes through the batch
-            // API instead of one `next_raw_bit` call per bit. Every raw
-            // bit still passes the health gate individually, in stream
-            // order, before it may enter the conditioner — batching
-            // changes the fetch granularity, not the gating semantics.
-            // (`max_raw` cannot trip here: the exact demand is 64x
-            // below it, as it was for the per-bit loop.)
-            let need = (block_bytes as u64 * 8) * self.conditioner.raw_bits_per_output()
-                - self.conditioner.pending_raw_bits();
-            let mut chunk = [0u8; 64];
-            let mut remaining = need;
-            while remaining > 0 {
-                let nbytes = ((remaining / 8) as usize).min(chunk.len());
-                if nbytes > 0 {
-                    self.source.fill_raw(&mut chunk[..nbytes]);
-                }
-                // `< 8` residual bits (possible only when `pending` was
-                // non-zero) are fetched singly to keep the raw stream
-                // position exact.
-                let bits = if nbytes > 0 {
-                    nbytes as u64 * 8
-                } else {
-                    remaining
-                };
-                for idx in 0..bits {
-                    let raw = if nbytes > 0 {
-                        chunk[(idx / 8) as usize] >> (7 - idx % 8) & 1 == 1
-                    } else {
-                        self.source.next_raw_bit()
-                    };
-                    if !self.ingest(raw, out, &mut byte, &mut nbits) {
-                        out.clear();
-                        self.raise_alarm();
-                        return false;
-                    }
-                }
-                remaining -= bits;
-            }
-            debug_assert_eq!(out.len(), block_bytes);
-            debug_assert_eq!(nbits, 0);
-        } else {
-            // Variable-rate conditioning (Von Neumann): consumption is
-            // data-dependent, so bits are drawn one at a time until the
-            // block fills or the raw-spend bound trips.
-            while out.len() < block_bytes {
-                let raw = self.source.next_raw_bit();
-                raw_spent += 1;
-                if raw_spent > max_raw || !self.ingest(raw, out, &mut byte, &mut nbits) {
-                    out.clear();
-                    self.raise_alarm();
-                    return false;
-                }
-            }
+        let (source, health) = (self.source.as_mut(), &mut self.health);
+        let clean = match &mut self.conditioner {
+            Conditioner::FixedRate(c) => produce_fixed_rate(c, source, health, out, block_bytes),
+            Conditioner::VonNeumann(v) => produce_von_neumann(v, source, health, out, block_bytes),
+        };
+        if !clean {
+            out.clear();
+            self.raise_alarm();
+            return false;
         }
         // End-of-block total-failure check on the raw capture quality.
         let stats = self.source.capture_stats();

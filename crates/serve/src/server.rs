@@ -4,7 +4,8 @@
 //!
 //! # Life of a request
 //!
-//! 1. The acceptor thread accepts a connection and hands it to the
+//! 1. The acceptor thread blocks in `accept` (shutdown wakes it with a
+//!    connection of its own) and hands each connection to the
 //!    bounded worker set (a fixed number of worker threads behind a
 //!    bounded queue; when the queue is full the connection is shed
 //!    and counted, never silently stalled).
@@ -33,7 +34,7 @@
 //! drained-request and byte totals.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -46,7 +47,8 @@ use trng_testkit::json::Json;
 use crate::protocol::{parse_req, read_frame_after_tag, write_frame, FrameType, MAX_FRAME_PAYLOAD};
 use crate::quota::{QuotaConfig, TokenBucket};
 
-/// How often blocked accept/read loops re-check the shutdown flag.
+/// How often an idle connection's read loop re-checks the shutdown
+/// flag, and how long a failing `accept` backs off.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Fill deadline used for a request still in flight when the drain
@@ -319,15 +321,10 @@ impl Server {
     /// Propagates socket bind/configuration failures.
     pub fn start(pool: PoolHandle, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let metrics_listener = match config.metrics_addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
         let metrics_addr = match &metrics_listener {
@@ -428,7 +425,8 @@ impl Server {
         }
         self.shared.stop.store(true, Ordering::Release);
         if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+            let addr = self.local_addr;
+            wake_and_join(handle, || wake_accept(addr));
         }
         let mut joined = 0usize;
         for handle in self.workers.drain(..) {
@@ -437,8 +435,8 @@ impl Server {
             }
         }
         self.shared.metrics_stop.store(true, Ordering::Release);
-        if let Some(handle) = self.metrics.take() {
-            let _ = handle.join();
+        if let (Some(handle), Some(addr)) = (self.metrics.take(), self.metrics_addr) {
+            wake_and_join(handle, || wake_accept(addr));
         }
         let elapsed = t0.elapsed();
         let stats = self.shared.snapshot();
@@ -462,6 +460,35 @@ impl Drop for Server {
     }
 }
 
+/// Joins a thread blocked in `accept` whose stop flag is raised,
+/// calling `wake` every [`POLL`] until it has returned: one wake-up
+/// connection can fail (no descriptors left, a connect timeout), so
+/// shutdown never rests on the first.
+fn wake_and_join(handle: JoinHandle<()>, mut wake: impl FnMut()) {
+    let mut last_wake: Option<Instant> = None;
+    while !handle.is_finished() {
+        if last_wake.is_none_or(|t| t.elapsed() >= POLL) {
+            wake();
+            last_wake = Some(Instant::now());
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let _ = handle.join();
+}
+
+/// Wakes a thread blocked in `accept` on `addr` by connecting to it;
+/// the woken loop finds its stop flag raised and returns. A wildcard
+/// bind address is reached over loopback.
+fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, POLL);
+}
+
 fn acceptor_loop(
     shared: &Shared,
     listener: &TcpListener,
@@ -472,6 +499,9 @@ fn acceptor_loop(
             return; // drops tx: workers see the channel close
         }
         match listener.accept() {
+            // Once draining, whatever arrives — the shutdown's own
+            // wake-up connection included — is dropped unserved.
+            Ok(_) if shared.draining() => return,
             Ok((stream, _peer)) => {
                 shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 match tx.try_send(stream) {
@@ -486,7 +516,8 @@ fn acceptor_loop(
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            // Back off a failing accept (e.g. out of descriptors)
+            // rather than spin on it.
             Err(_) => std::thread::sleep(POLL),
         }
     }
@@ -695,17 +726,18 @@ fn poll_tag_byte(shared: &Shared, stream: &mut TcpStream) -> Option<u8> {
 }
 
 fn metrics_loop(shared: &Shared, listener: &TcpListener) {
+    let stopped = || shared.metrics_stop.load(Ordering::Acquire);
     loop {
-        if shared.metrics_stop.load(Ordering::Acquire) {
+        if stopped() {
             return;
         }
         match listener.accept() {
+            Ok(_) if stopped() => return,
             Ok((mut stream, _peer)) => {
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
                 let body = render_metrics(shared);
                 let _ = stream.write_all(body.as_bytes());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
         }
     }
@@ -722,4 +754,36 @@ fn render_metrics(shared: &Shared) -> String {
         ("serve", shared.snapshot().to_json()),
     ]);
     format!("{}\n{}", pool_stats.health(), report.to_string_pretty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A blocked acceptor still stops when the first wake-up
+    /// connection never arrives: the retry a [`POLL`] later wakes it.
+    #[test]
+    fn shutdown_retries_a_lost_wake_up() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || loop {
+            let _ = listener.accept();
+            if flag.load(Ordering::Acquire) {
+                return;
+            }
+        });
+        stop.store(true, Ordering::Release);
+        let mut wakes = 0;
+        let t0 = Instant::now();
+        wake_and_join(handle, || {
+            wakes += 1;
+            if wakes > 1 {
+                wake_accept(addr);
+            }
+        });
+        assert!(wakes >= 2, "returned without a wake-up landing");
+        assert!(t0.elapsed() < 10 * POLL, "join took {:?}", t0.elapsed());
+    }
 }

@@ -2,8 +2,9 @@
 //! the live health/conditioning stack.
 //!
 //! A [`RecordedTrace`] stores the raw byte stream of a real capture
-//! *plus* per-byte cumulative checkpoints of the capture's simulated
-//! clock and sample/missed-edge counters. Replaying the trace through
+//! *plus* per-byte cumulative checkpoints of the capture's missed-edge
+//! counter; its sample count and simulated clock follow from the byte
+//! index and the sampling period. Replaying the trace through
 //! a [`TraceReplaySource`] therefore reproduces not just the bits but
 //! the progress accounting the original run published — the pool's
 //! startup test, missed-edge check, statistics and incident journal
@@ -33,61 +34,76 @@ pub struct RecordedTrace {
     pub xor_rate: u32,
     /// The raw bytes, MSB-first within each byte.
     pub bytes: Vec<u8>,
-    /// Cumulative simulated nanoseconds after each byte was drawn.
-    pub sim_ns_at: Vec<u64>,
-    /// Cumulative sample count after each byte was drawn.
-    pub samples_at: Vec<u64>,
+    /// The sampling period in picoseconds. The capture's clock starts
+    /// at zero and advances by exactly this much per sample, so the
+    /// simulated time after byte `i` follows from its sample count.
+    t_a_ps: f64,
     /// Cumulative missed-edge count after each byte was drawn.
-    pub missed_at: Vec<u64>,
+    missed_at: Vec<u32>,
 }
 
 impl RecordedTrace {
     /// Captures `nbytes` of raw output from a fresh carry-chain TDC
-    /// run, checkpointing the simulator's counters after every byte.
+    /// run, checkpointing its missed-edge counter after every byte.
     ///
     /// # Errors
     ///
-    /// [`SourceError::Build`] when the configuration is rejected.
+    /// [`SourceError::Build`] when the configuration is rejected or
+    /// the capture has `2^32` raw bits or more.
     pub fn record(config: &TrngConfig, seed: u64, nbytes: usize) -> Result<Self, SourceError> {
         let claim = trng_core::selftest::claimed_min_entropy(config)?;
+        if u32::try_from(nbytes.saturating_mul(8)).is_err() {
+            return Err(SourceError::Build(format!(
+                "trace of {nbytes} bytes is too long to checkpoint"
+            )));
+        }
         let mut trng = CarryChainTrng::new(config.clone(), seed)?;
         let mut bytes = Vec::with_capacity(nbytes);
-        let mut sim_ns_at = Vec::with_capacity(nbytes);
-        let mut samples_at = Vec::with_capacity(nbytes);
         let mut missed_at = Vec::with_capacity(nbytes);
         let mut byte = [0u8; 1];
         for _ in 0..nbytes {
             trng.fill_raw(&mut byte);
             bytes.push(byte[0]);
-            sim_ns_at.push(trng.now().as_ns() as u64);
-            let stats = trng.stats();
-            samples_at.push(stats.samples);
-            missed_at.push(stats.missed_edges);
+            // At most 8 misses per byte, so the length check above
+            // keeps the count in range.
+            missed_at.push(trng.stats().missed_edges as u32);
         }
         Ok(RecordedTrace {
             claimed_min_entropy: claim,
             xor_rate: config.design.np,
             bytes,
-            sim_ns_at,
-            samples_at,
+            t_a_ps: config.design.t_a_ps(),
             missed_at,
         })
+    }
+
+    /// Cumulative `[simulated ns, samples, missed edges]` after byte
+    /// `i` was drawn. Every byte is 8 samples, one per `t_a`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is past the last byte.
+    pub fn checkpoint(&self, i: usize) -> [u64; 3] {
+        let samples = 8 * (i as u64 + 1);
+        let sim_ns = (self.t_a_ps * samples as f64 / 1e3) as u64;
+        [sim_ns, samples, u64::from(self.missed_at[i])]
     }
 
     fn validate(&self) -> Result<(), SourceError> {
         if self.bytes.is_empty() {
             return Err(SourceError::Build("trace has no bytes".into()));
         }
-        if self.sim_ns_at.len() != self.bytes.len()
-            || self.samples_at.len() != self.bytes.len()
-            || self.missed_at.len() != self.bytes.len()
-        {
+        if self.missed_at.len() != self.bytes.len() {
             return Err(SourceError::Build(format!(
-                "trace checkpoints out of step: {} bytes vs {}/{}/{} checkpoints",
+                "trace checkpoints out of step: {} bytes vs {} checkpoints",
                 self.bytes.len(),
-                self.sim_ns_at.len(),
-                self.samples_at.len(),
                 self.missed_at.len()
+            )));
+        }
+        if !(self.t_a_ps.is_finite() && self.t_a_ps > 0.0) {
+            return Err(SourceError::Build(format!(
+                "trace sampling period {} ps is not positive",
+                self.t_a_ps
             )));
         }
         if !(0.0 < self.claimed_min_entropy && self.claimed_min_entropy <= 1.0) {
@@ -144,28 +160,19 @@ impl TraceReplaySource {
         if byte == 0 {
             (0, 0, 0)
         } else {
-            let i = byte - 1;
-            (
-                self.trace.sim_ns_at[i],
-                self.trace.samples_at[i],
-                self.trace.missed_at[i],
-            )
+            let [ns, samples, missed] = self.trace.checkpoint(byte - 1);
+            (ns, samples, missed)
         }
     }
 
     /// Totals accumulated since the last rebuild (all passes).
     fn live_totals(&self) -> (u64, u64, u64) {
-        let last = self.trace.bytes.len() - 1;
-        let full = (
-            self.trace.sim_ns_at[last],
-            self.trace.samples_at[last],
-            self.trace.missed_at[last],
-        );
+        let full = self.trace.checkpoint(self.trace.bytes.len() - 1);
         let (ns, samples, missed) = self.pass_totals();
         (
-            self.wraps * full.0 + ns,
-            self.wraps * full.1 + samples,
-            self.wraps * full.2 + missed,
+            self.wraps * full[0] + ns,
+            self.wraps * full[1] + samples,
+            self.wraps * full[2] + missed,
         )
     }
 }
@@ -282,12 +289,13 @@ mod tests {
         src.fill_raw(&mut out);
         assert_eq!(&out[..], &trace.bytes[..]);
         // After a full pass the counters equal the recording's finals.
-        assert_eq!(src.raw_bits(), *trace.samples_at.last().unwrap());
-        assert_eq!(src.sim_now_ns(), *trace.sim_ns_at.last().unwrap());
+        let [ns, samples, _] = trace.checkpoint(63);
+        assert_eq!(src.raw_bits(), samples);
+        assert_eq!(src.sim_now_ns(), ns);
         // Second pass wraps and keeps accumulating.
         src.fill_raw(&mut out);
         assert_eq!(&out[..], &trace.bytes[..]);
-        assert_eq!(src.raw_bits(), 2 * trace.samples_at.last().unwrap());
+        assert_eq!(src.raw_bits(), 2 * samples);
     }
 
     #[test]
@@ -331,9 +339,24 @@ mod tests {
     }
 
     #[test]
+    fn derived_checkpoints_match_the_live_counters() {
+        for config in [TrngConfig::paper_k1(), TrngConfig::paper_k4()] {
+            let trace = RecordedTrace::record(&config, 5, 256).expect("capture");
+            let mut trng = CarryChainTrng::new(config, 5).expect("same build");
+            let mut byte = [0u8; 1];
+            for i in 0..trace.bytes.len() {
+                trng.fill_raw(&mut byte);
+                let stats = trng.stats();
+                let live = [trng.now().as_ns() as u64, stats.samples, stats.missed_edges];
+                assert_eq!(trace.checkpoint(i), live, "byte {i}");
+            }
+        }
+    }
+
+    #[test]
     fn inconsistent_checkpoints_are_rejected() {
         let mut t = (*trace()).clone();
-        t.samples_at.pop();
+        t.missed_at.pop();
         assert!(TraceReplaySource::new(Arc::new(t)).is_err());
     }
 }

@@ -203,6 +203,46 @@ fn drain_completes_in_flight_requests_then_refuses_connections() {
     assert!(refused, "server still serving after shutdown");
 }
 
+/// The acceptor blocks in `accept` instead of napping between polls,
+/// so a daemon that has sat idle answers its next client at once: the
+/// median first fetch over five fresh connections, each after at
+/// least 100 ms of idleness, completes in under 10 ms (a 50 ms accept
+/// nap would put most of them far above). Shutdown still wakes the
+/// blocked acceptor and metrics listener, so drain and join stay
+/// prompt.
+#[test]
+fn idle_daemon_answers_a_first_fetch_at_once_and_drains_promptly() {
+    let config = PoolConfig::new(TrngConfig::paper_k1(), 1)
+        .with_conditioning(Conditioning::Raw)
+        .with_sources(vec![trng_pool::SourceSpec::OsEntropy])
+        .with_seed(0x1D1E);
+    let server = Server::start(online_handle(config), ServeConfig::default()).expect("server");
+    let addr = server.local_addr();
+    let mut latencies: Vec<Duration> = (0..5)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(120));
+            let t0 = Instant::now();
+            let bytes = client::fetch(addr, 32).expect("fetch");
+            assert_eq!(bytes.len(), 32);
+            t0.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    assert!(
+        latencies[2] < Duration::from_millis(10),
+        "median first fetch after idling took {:?} (all: {latencies:?})",
+        latencies[2]
+    );
+
+    let report = server.shutdown();
+    assert_eq!(report.workers_joined, ServeConfig::default().workers);
+    assert!(
+        report.elapsed < Duration::from_millis(500),
+        "drain took {:?}",
+        report.elapsed
+    );
+}
+
 /// Fault-injection soak over the wire: a scripted mid-stream transient
 /// fault quarantines one shard, the client still receives exactly the
 /// healthy replay bytes, and the stats record exactly the one alarm.
