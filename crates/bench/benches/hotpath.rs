@@ -161,7 +161,7 @@ fn main() {
             BEFORE_POST_NS_PER_BIT,
             |buf| post_trng.fill_postprocessed(buf),
         ),
-        // Batched backend: the whole-window engine, measured against
+        // Batched backend: the sample-synchronous engine, measured against
         // the best scalar number so the column reads "x over scalar".
         measure("raw_bits_batched", bytes, SCALAR_RAW_NS_PER_BIT, |buf| {
             batched_trng.fill_raw(buf)
@@ -228,7 +228,7 @@ fn main() {
                  replay contract (scalar backend). That contract freezes the \
                  per-edge noise synthesis, which caps the *scalar* path; the \
                  *_batched rows drop draw-identity (never the distributions) via \
-                 NoiseBackend::Batched whole-window synthesis, with before = the \
+                 NoiseBackend::Batched sample-synchronous synthesis, with before = the \
                  scalar after, so their speedup column reads 'over best scalar'",
             ),
         ),

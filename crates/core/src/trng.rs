@@ -65,9 +65,11 @@ pub struct TrngConfig {
     pub meta_window: Ps,
     /// How run-time noise is synthesised. [`NoiseBackend::Scalar`]
     /// (default) keeps the replay-exact draw sequence;
-    /// [`NoiseBackend::Batched`] synthesises whole windows at once —
-    /// statistically equivalent, roughly an order of magnitude faster
-    /// per raw bit, but not byte-identical to scalar streams.
+    /// [`NoiseBackend::Batched`] synthesises only what each sample can
+    /// see — one Gaussian jump across the ring transitions before the
+    /// TDC window, then the few transitions inside it — statistically
+    /// equivalent, roughly ten times faster per raw bit, but not
+    /// byte-identical to scalar streams.
     pub noise_backend: NoiseBackend,
 }
 
@@ -303,10 +305,10 @@ impl TrngStats {
 pub struct CarryChainTrng {
     config: TrngConfig,
     oscillator: RingOscillator,
-    /// Block-synthesis engine, present only on the
+    /// Sample-synchronous engine, present only on the
     /// [`NoiseBackend::Batched`] hot path (and only when the placed
-    /// lines support the run-length sampler). When set it replaces the
-    /// oscillator + per-line sampler entirely.
+    /// lines support it). When set it replaces the oscillator +
+    /// per-line sampler entirely.
     engine: Option<BatchedRingEngine>,
     lines: Vec<TappedDelayLine>,
     extractor: EntropyExtractor,
@@ -388,10 +390,12 @@ impl CarryChainTrng {
         let extractor = EntropyExtractor::new(config.design.k, config.bubble_filter);
         let t_a = Ps::from_ps(config.design.t_a_ps());
 
-        // Batched backend: build the whole-window engine from the same
-        // ring configuration and placed lines. Unsupported layouts
-        // (wide lines, non-monotone taps) silently fall back to the
-        // scalar oscillator, which still uses block-ziggurat normals.
+        // Batched backend: build the sample-synchronous engine from the
+        // same ring configuration and placed lines. Unsupported layouts
+        // (wide lines, non-monotone taps, a sampling window that could
+        // hold more edges per node than the engine keeps) silently fall
+        // back to the scalar oscillator, which still uses block-
+        // ziggurat normals.
         let engine = if config.noise_backend == NoiseBackend::Batched && m <= 64 {
             BatchedRingEngine::new(&ro_config_for_engine, &lines, rng.fork()).ok()
         } else {
@@ -440,9 +444,9 @@ impl CarryChainTrng {
     fn sample_words(&mut self) -> u64 {
         self.t += self.t_a;
         let xor = if let Some(engine) = &mut self.engine {
-            // Batched backend: whole-window synthesis + run-length
-            // sampling in one pass; metastability coins still come
-            // from the TRNG's own RNG in ascending-tap order.
+            // Batched backend: synthesis up to the sampling window +
+            // run-length sampling in one call; metastability coins
+            // still come from the TRNG's own RNG in ascending-tap order.
             engine.sample_words(self.t, &mut self.rng, &mut self.scratch_words)
         } else {
             self.oscillator.advance_to(self.t);
@@ -462,7 +466,7 @@ impl CarryChainTrng {
     }
 
     /// The noise backend actually in effect: [`NoiseBackend::Batched`]
-    /// only when the whole-window engine was built (requested *and*
+    /// only when the sample-synchronous engine was built (requested *and*
     /// the layout supports it); otherwise [`NoiseBackend::Scalar`].
     pub fn active_noise_backend(&self) -> NoiseBackend {
         if self.engine.is_some() {
@@ -834,6 +838,21 @@ mod tests {
             base.for_shard(1000),
             Err(BuildTrngError::Placement(_))
         ));
+    }
+
+    #[test]
+    fn batched_falls_back_to_scalar_when_a_node_window_could_overflow() {
+        // 20 ps LUTs clamp at 1 ps, so the 36-tap sampling window could
+        // see hundreds of edges of one node: more than the engine's
+        // per-node array holds. The build falls back to scalar.
+        let batched = TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Batched);
+        let mut fast = batched.clone();
+        fast.platform.d0_lut_ps = 20.0;
+        let mut trng = CarryChainTrng::new(fast, 3).expect("build");
+        assert_eq!(trng.active_noise_backend(), NoiseBackend::Scalar);
+        assert_eq!(trng.generate_raw(16).len(), 16);
+        let paper = CarryChainTrng::new(batched, 3).expect("build");
+        assert_eq!(paper.active_noise_backend(), NoiseBackend::Batched);
     }
 
     #[test]

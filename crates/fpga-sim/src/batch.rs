@@ -1,35 +1,59 @@
-//! Batched whole-window synthesis of ring-oscillator edge trains —
-//! the [`NoiseBackend::Batched`] hot path.
+//! Sample-synchronous synthesis of ring-oscillator edge trains — the
+//! [`NoiseBackend::Batched`] hot path.
 //!
 //! The scalar pipeline ([`RingOscillator`](crate::ring_oscillator::RingOscillator) +
 //! [`TappedDelayLine::sample_into`]) advances the ring one transition
 //! event at a time, drawing every Gaussian variate individually so that
-//! traces, journals and golden vectors replay byte-identically. PR 3
-//! measured that contract's cost: ~75 % of the remaining per-bit time is
-//! frozen in per-edge noise synthesis that cannot be amortised without
-//! changing the draw sequence.
+//! traces, journals and golden vectors replay byte-identically. That
+//! contract's cost is ~75 % of the scalar per-bit time, frozen in
+//! per-edge noise synthesis that cannot be amortised without changing
+//! the draw sequence.
 //!
 //! [`BatchedRingEngine`] deliberately gives up draw-identity (never the
-//! *distribution*) to amortise everything:
+//! *distribution*). The delay lines see the ring only inside a short
+//! sampling window around each clock edge (the tap span plus the
+//! metastability aperture, ~630 ps for the paper's 36 taps, against
+//! `t_A = 10 ns` and ~21 transitions per sample), so each
+//! [`BatchedRingEngine::sample_words`] call does three things:
 //!
-//! * Gaussian variates come from the block ziggurat
-//!   ([`SimRng::fill_standard_normals`]) in slabs of [`EVENT_BLOCK`],
-//!   filled from bulk xoshiro word output;
-//! * the Ornstein–Uhlenbeck flicker increments are precomputed per
-//!   window of [`FLICKER_WINDOW`] events with the exact recurrence
-//!   `x ← x·a + N(0, σ·√(1−a²))`, `a = exp(−Δ/τ_c)` at the window
-//!   spacing `Δ` (~60 ns for the paper ring — four orders of magnitude
-//!   below `τ_c = 1 µs`, so the piecewise-constant hold is far inside
-//!   the flicker correlation time and the marginal distribution and
-//!   window-scale autocorrelation are exact);
-//! * global modulation and attack injection are evaluated with the
-//!   *same formulas* as the scalar path at the actual event times —
-//!   they are deterministic functions of time, so no approximation;
-//! * whole edge trains are synthesised at once into flat, cache-friendly
-//!   `f64` buffers, and the packed-`u64` tap sampler runs over them
-//!   with the identical run-length + metastability-aperture algorithm
-//!   as [`TappedDelayLine::sample_into`], using monotone forward-scan
-//!   cursors instead of per-query binary searches.
+//! 1. **Jump.** Transitions that land before the window matter only
+//!    through their summed delay and each node's edge count. When the
+//!    delays do not depend on time (no global modulation, no attack),
+//!    the white jitter `σ` is positive and no event of the current
+//!    flicker window can reach the 5 % causality clamp
+//!    (`base − σ·Z_MAX > clamp` for every stage, where `Z_MAX ≈ 13.71`
+//!    bounds every variate the block ziggurat returns), `k` such events
+//!    take exactly `Σbase + σ·√k·z` — one Gaussian draw, with the edge
+//!    counts advanced by arithmetic. `k` is chosen so that even
+//!    `k·b_max + Z_MAX·σ·√k` stays before the window, and a jump never
+//!    crosses a [`FLICKER_WINDOW`] boundary.
+//! 2. **Per-event window.** The few transitions around the window are
+//!    synthesised one at a time with the same delay composition as the
+//!    scalar `StageNoise::stage_delay` (global factor, white + flicker,
+//!    attack at the prospective edge instant, clamp), and those inside
+//!    the window are kept in a small fixed-size array per node. Stepping
+//!    stops once the next event provably lands past the window (its
+//!    stage's shortest possible delay already overshoots), so that
+//!    event joins the next sample's jump. Configs
+//!    with global modulation or an attack, zero white jitter (whose
+//!    sequential sums then match the scalar sampler bit for bit) or a
+//!    reachable clamp never jump: every event goes through this step.
+//! 3. **Sample.** Each line is read from its node's array with the
+//!    run-length + metastability-aperture algorithm of
+//!    [`TappedDelayLine::sample_into`]. Lines no edge touches are a
+//!    flat word. Otherwise a per-line 1 ps table of tap splits seeds
+//!    every "first tap observing before instant x" query, and an exact
+//!    fix-up with the scalar `(t + skew) − cum` association makes the
+//!    answer identical to a binary search.
+//!
+//! The Ornstein–Uhlenbeck flicker state advances once per window of
+//! [`FLICKER_WINDOW`] events with the exact recurrence
+//! `x ← x·a + N(0, σ·√(1−a²))`, `a = exp(−Δ/τ_c)` at the window spacing
+//! `Δ` (~60 ns for the paper ring — four orders of magnitude below
+//! `τ_c = 1 µs`, so the piecewise-constant hold is far inside the
+//! flicker correlation time and the marginal distribution and
+//! window-scale autocorrelation are exact). Gaussian variates come from
+//! the block ziggurat ([`SimRng::enable_batched_normals`]).
 //!
 //! Metastability coin flips still come from the *caller's* RNG, in the
 //! same ascending-tap order as the scalar sampler, so the aperture
@@ -37,7 +61,8 @@
 //!
 //! The engine refuses (`Err`) configurations it cannot serve exactly —
 //! more than 64 taps per line, tap instants that are not monotone
-//! non-increasing, or a line/stage count mismatch — and callers fall
+//! non-increasing, a line/stage count mismatch, or a sampling window
+//! that could hold more edges than a node's array — and callers fall
 //! back to the scalar oscillator (which still benefits from the
 //! block-ziggurat tier when the backend knob is on).
 
@@ -45,23 +70,29 @@ use crate::delay_line::{range_mask, TappedDelayLine};
 use crate::noise::{NoiseBackend, NoiseConfig};
 use crate::primitives::LutDelay;
 use crate::ring_oscillator::RingOscillatorConfig;
-use crate::rng::SimRng;
+use crate::rng::{SimRng, Z_MAX};
 use crate::time::Ps;
-
-/// Number of ring transition events synthesised per block.
-///
-/// At ~21 events per sampled bit this amortises one bulk normal fill
-/// over ~190 samples.
-pub const EVENT_BLOCK: usize = 4096;
 
 /// Events per flicker window: the OU state of every stage is advanced
 /// once per window (exact decay for the window's wall-clock span) and
-/// held constant within it. Must divide [`EVENT_BLOCK`].
+/// held constant within it.
 pub const FLICKER_WINDOW: usize = 128;
+
+/// Edges one node's window array holds. [`BatchedRingEngine::new`]
+/// refuses configurations whose sampling window could need more.
+const WINDOW_CAP: usize = 32;
+
+/// Standard normals the engine draws ahead of use.
+const NORMAL_BATCH: usize = 64;
+
+/// Guard band around the sampling window, ps: far above the rounding
+/// of any tap instant, so edges just outside the window never decide a
+/// sample.
+const GUARD_PS: f64 = 1.0;
 
 /// Per-stage Ornstein–Uhlenbeck flicker state for the batched engine.
 #[derive(Debug, Clone)]
-struct FlickerBlock {
+struct FlickerState {
     /// Decay per flicker window: `exp(−Δ/τ_c)` at the window span
     /// `Δ = FLICKER_WINDOW · half_period / n`.
     a: f64,
@@ -71,97 +102,100 @@ struct FlickerBlock {
     state: Vec<f64>,
 }
 
-/// Edge buffer of one ring node: absolute toggle instants in ps,
-/// ascending, with a logically-pruned prefix and a monotone query
-/// cursor.
+/// The edges of one ring node that the current sampling window can
+/// see, plus the node's total edge count.
 ///
 /// Parities are computed from the *total* edge count since `t = 0`,
 /// which is equivalent to the scalar
 /// [`EdgeTrain`](crate::edge_train::EdgeTrain) flipping its initial
 /// level once per pruned edge.
-#[derive(Debug, Clone, Default)]
-struct NodeEdges {
-    times: Vec<f64>,
-    /// Physical index of the first retained (un-pruned) edge.
-    start: usize,
-    /// Monotone query frontier: physical index of the first edge past
-    /// the previous sample's earliest query instant. Sampling times
-    /// only move forward, so every per-sample search is a short
-    /// forward scan from here instead of a binary search over the
-    /// whole synthesis buffer.
-    hint: usize,
-    /// Edges physically drained from the front of `times`.
-    removed: u64,
+#[derive(Debug, Clone, Copy)]
+struct NodeWindow {
+    /// Toggle instants, ps, ascending; only `edges[..len]` is live.
+    edges: [f64; WINDOW_CAP],
+    len: usize,
+    /// Edges since `t = 0`, the live ones included.
+    count: u64,
 }
 
-impl NodeEdges {
-    /// Advances the query frontier past every edge at or before `x`
-    /// and returns it. `x` must be non-decreasing across calls, so
-    /// each scan resumes where the previous one stopped and walks only
-    /// the handful of edges the sampler period admitted since then.
-    fn seek(&mut self, x: f64) -> usize {
-        while self.hint < self.times.len() && self.times[self.hint] <= x {
-            self.hint += 1;
-        }
-        self.hint
+impl NodeWindow {
+    fn live(&self) -> &[f64] {
+        &self.edges[..self.len]
     }
 
-    /// Total number of edges (since `t = 0`) at or before `x`,
-    /// scanning forward from `base` (which must already be past every
-    /// edge at or before some instant `<= x`), so only the few edges
-    /// between the two instants are visited.
-    fn count_from(&self, base: usize, x: f64) -> u64 {
-        let mut i = base;
-        while i < self.times.len() && self.times[i] <= x {
-            i += 1;
-        }
-        self.removed + i as u64
-    }
-
-    /// Edge instant by total index.
-    fn edge(&self, index: u64) -> f64 {
-        self.times[(index - self.removed) as usize]
-    }
-
-    /// Distance from `u` to the nearest buffered edge, scanning
-    /// forward from `base` (same contract as [`NodeEdges::count_from`]).
-    fn nearest_from(&self, base: usize, u: f64) -> Option<f64> {
-        let mut i = base;
-        while i < self.times.len() && self.times[i] <= u {
-            i += 1;
-        }
-        let after = self.times.get(i).map(|&e| e - u);
-        let before = if i > 0 {
-            Some(u - self.times[i - 1])
-        } else {
-            None
-        };
-        match (before, after) {
-            (Some(b), Some(a)) => Some(b.min(a)),
-            (Some(b), None) => Some(b),
-            (None, Some(a)) => Some(a),
-            (None, None) => None,
-        }
-    }
-
-    /// Logically discards edges strictly before `horizon` (monotone
-    /// across calls), compacting the backing storage once the dead
-    /// prefix grows large.
+    /// Drops the live edges before `horizon`.
     fn prune_before(&mut self, horizon: f64) {
-        while self.start < self.times.len() && self.times[self.start] < horizon {
-            self.start += 1;
+        // Samples further apart than the window leave nothing behind.
+        if self.len == 0 || self.edges[self.len - 1] < horizon {
+            self.len = 0;
+            return;
         }
-        if self.start > 8 * 1024 {
-            self.times.drain(..self.start);
-            self.removed += self.start as u64;
-            self.hint -= self.start;
-            self.start = 0;
-        }
+        let dead = count_at_or_before(self.live(), horizon.next_down());
+        self.edges.copy_within(dead..self.len, 0);
+        self.len -= dead;
     }
 }
 
-/// Block-synthesis engine replacing the event-at-a-time oscillator and
-/// per-tap sampler on the [`NoiseBackend::Batched`] hot path.
+/// Sampling geometry of one delay line.
+#[derive(Debug, Clone)]
+struct LineTaps {
+    /// Capture-clock skews, ps.
+    skew: Vec<f64>,
+    /// Cumulative tap delays, ps.
+    cum: Vec<f64>,
+    /// Metastability window, ps.
+    meta_w: f64,
+    /// Level of the sampled node before its first edge.
+    init: bool,
+    /// `split[b]`: taps whose offset `skew − cum` is at least
+    /// `split_base + b` ps — a seed for [`LineTaps::split_point`].
+    split: Vec<u8>,
+    split_base: f64,
+}
+
+impl LineTaps {
+    /// First tap `j` in `[lo, m)` where `above(j)` turns false, for a
+    /// predicate that compares the tap instant against `t_ps + x`.
+    ///
+    /// Tap instants are non-increasing in `j` (validated at
+    /// construction), so the predicate is monotone: the table gives a
+    /// start within a tap or so of the answer and the walk makes it
+    /// exact — the same index a binary partition would return.
+    #[inline]
+    fn split_point(&self, lo: usize, x: f64, above: impl Fn(usize) -> bool) -> usize {
+        let m = self.skew.len();
+        // Saturating casts: anything below the table reads bucket 0.
+        let b = ((x - self.split_base) as usize).min(self.split.len() - 1);
+        let mut j = usize::from(self.split[b]).max(lo);
+        while j < m && above(j) {
+            j += 1;
+        }
+        while j > lo && !above(j - 1) {
+            j -= 1;
+        }
+        j
+    }
+}
+
+/// Number of `edges` (ascending) at or before `x`. The slices are a
+/// few entries long, so a linear scan beats a binary search.
+#[inline]
+fn count_at_or_before(edges: &[f64], x: f64) -> usize {
+    edges.iter().filter(|&&e| e <= x).count()
+}
+
+/// Distance from `u` to the nearest of `edges` (ascending), infinite
+/// when there is none.
+#[inline]
+fn nearest_distance(edges: &[f64], u: f64) -> f64 {
+    let i = count_at_or_before(edges, u);
+    let after = edges.get(i).map_or(f64::INFINITY, |&e| e - u);
+    let before = i.checked_sub(1).map_or(f64::INFINITY, |k| u - edges[k]);
+    before.min(after)
+}
+
+/// Sample-synchronous engine replacing the event-at-a-time oscillator
+/// and per-tap sampler on the [`NoiseBackend::Batched`] hot path.
 ///
 /// Statistically equivalent to the scalar pair (same delay formula,
 /// same OU flicker marginals, same run-length/metastability sampler),
@@ -178,35 +212,42 @@ pub struct BatchedRingEngine {
     clamp: Vec<f64>,
     half_period: f64,
     noise: NoiseConfig,
+    /// Global modulation or an attack makes delays depend on time:
+    /// every event then takes the general per-event formula.
+    time_varying: bool,
     white_sigma: f64,
-    flicker: Option<FlickerBlock>,
+    flicker: Option<FlickerState>,
     rng: SimRng,
-    /// Per-line capture-clock skews, ps.
-    skew: Vec<Vec<f64>>,
-    /// Per-line cumulative tap delays, ps.
-    cum: Vec<Vec<f64>>,
-    /// Per-line metastability window, ps.
-    meta_w: Vec<f64>,
-    /// Stage whose output toggles at the next synthesised event.
-    next_stage: usize,
-    /// Instant of the newest synthesised event, ps.
-    last_time: f64,
-    nodes: Vec<NodeEdges>,
-    /// How far past the sample instant synthesis must reach.
-    forward_ps: f64,
-    /// How far back edges must be retained before pruning.
-    retain_ps: f64,
-    /// Samples since the last prune pass (pruning is amortised —
-    /// delaying it only retains a little extra memory, never changes
-    /// results, since queries run from the hint cursor).
-    prune_tick: u32,
+    /// Normals drawn ahead from `rng`; `normals[next_normal..]` are
+    /// unused.
+    normals: [f64; NORMAL_BATCH],
+    next_normal: usize,
     /// Per-stage effective base delay within the current flicker
-    /// window (nominal + flicker state), reused across blocks.
+    /// window (nominal + flicker state).
     base: Vec<f64>,
-    white_block: Vec<f64>,
-    innov_block: Vec<f64>,
-    /// Event-time staging buffer, scattered per node after synthesis.
-    tbuf: Vec<f64>,
+    /// `Σ base` over one ring traversal.
+    base_sum: f64,
+    /// `max base`.
+    base_max: f64,
+    /// Whether the current flicker window allows jumps (see the module
+    /// docs).
+    jump_ok: bool,
+    /// Shortest delay each stage can take in the current flicker
+    /// window: `base − σ·Z_MAX` where jumps are allowed, else the
+    /// clamp.
+    floor: Vec<f64>,
+    /// Events left before the next flicker-window boundary.
+    window_left: usize,
+    /// Stage whose output toggles at the next event.
+    next_stage: usize,
+    /// Instant of the newest event, ps.
+    t: f64,
+    nodes: Vec<NodeWindow>,
+    lines: Vec<LineTaps>,
+    /// Sampling window relative to the clock edge, ps: every tap
+    /// instant plus its aperture, widened by [`GUARD_PS`].
+    window_lo: f64,
+    window_hi: f64,
 }
 
 impl BatchedRingEngine {
@@ -221,8 +262,9 @@ impl BatchedRingEngine {
     ///
     /// Returns a description when the configuration cannot be served
     /// with the run-length sampler (line/stage count mismatch, more
-    /// than 64 taps, or non-monotone tap observation instants). The
-    /// caller should fall back to the scalar oscillator.
+    /// than 64 taps, non-monotone tap observation instants, or a
+    /// sampling window long enough to hold more edges than a node's
+    /// array). The caller should fall back to the scalar oscillator.
     pub fn new(
         config: &RingOscillatorConfig,
         lines: &[TappedDelayLine],
@@ -255,11 +297,9 @@ impl BatchedRingEngine {
         let clamp: Vec<f64> = nominal.iter().map(|d| d * 0.05).collect();
         let half_period: f64 = nominal.iter().sum();
 
-        let mut skew = Vec::with_capacity(n);
-        let mut cum = Vec::with_capacity(n);
-        let mut meta_w = Vec::with_capacity(n);
-        let mut forward_ps = 0.0f64;
-        let mut lookback_ps = 0.0f64;
+        let mut taps = Vec::with_capacity(n);
+        let mut window_lo = f64::INFINITY;
+        let mut window_hi = f64::NEG_INFINITY;
         for (idx, line) in lines.iter().enumerate() {
             let m = line.len();
             if m > 64 {
@@ -267,26 +307,51 @@ impl BatchedRingEngine {
                     "batched engine supports at most 64 taps, line {idx} has {m}"
                 ));
             }
-            let s: Vec<f64> = line.capture_skews().iter().map(|p| p.as_ps()).collect();
-            let c: Vec<f64> = line.cum_delays().iter().map(|p| p.as_ps()).collect();
-            let mut prev = f64::INFINITY;
-            for j in 0..m {
-                let off = s[j] - c[j];
-                if off > prev {
+            let skew: Vec<f64> = line.capture_skews().iter().map(|p| p.as_ps()).collect();
+            let cum: Vec<f64> = line.cum_delays().iter().map(|p| p.as_ps()).collect();
+            let off: Vec<f64> = skew.iter().zip(&cum).map(|(s, c)| s - c).collect();
+            for j in 1..m {
+                if off[j] > off[j - 1] {
                     return Err(format!(
                         "batched engine needs monotone tap instants, line {idx} tap {j} \
                          observes later than tap {}",
                         j - 1
                     ));
                 }
-                prev = off;
             }
             let w = line.capture_ff().meta_window().as_ps();
-            forward_ps = forward_ps.max(s[0] - c[0] + w);
-            lookback_ps = lookback_ps.max(c[m - 1] - s[m - 1] + w);
-            skew.push(s);
-            cum.push(c);
-            meta_w.push(w);
+            window_lo = window_lo.min(off[m - 1] - w);
+            window_hi = window_hi.max(off[0] + w);
+            // Split thresholds reach one aperture beyond the window
+            // (edge ± w), plus a bucket of slack on either side.
+            let split_base = (off[m - 1] - 2.0 * w).floor() - 1.0;
+            let buckets = (off[0] + 2.0 * w - split_base).ceil() as usize + 2;
+            let split = (0..buckets)
+                .map(|b| off.iter().filter(|&&o| o >= split_base + b as f64).count() as u8)
+                .collect();
+            taps.push(LineTaps {
+                skew,
+                cum,
+                meta_w: w,
+                init: idx % 2 == 1,
+                split,
+                split_base,
+            });
+        }
+        let window_lo = window_lo - GUARD_PS;
+        let window_hi = window_hi + GUARD_PS;
+        // A node toggles once per ring traversal, and every event is
+        // at least its stage's clamp, so its edges are at least
+        // Σ clamp apart. The array holds the edges inside the window,
+        // the newest event past it, and one of rounding slack.
+        let min_gap: f64 = clamp.iter().sum();
+        let need = ((window_hi - window_lo) / min_gap).floor() as usize + 3;
+        if need > WINDOW_CAP {
+            return Err(format!(
+                "batched engine holds {WINDOW_CAP} edges per node, but a {:.0} ps sampling \
+                 window can see {need} edges {min_gap:.1} ps apart",
+                window_hi - window_lo
+            ));
         }
 
         let white_sigma = config.noise.white.sigma().as_ps();
@@ -299,7 +364,7 @@ impl BatchedRingEngine {
                 return None;
             }
             let a = (-(window_span / p.tau_c.as_ps())).exp();
-            Some(FlickerBlock {
+            Some(FlickerState {
                 a,
                 innov_sd: sigma * (1.0 - a * a).sqrt(),
                 // Stationary initial condition, as the scalar
@@ -311,27 +376,35 @@ impl BatchedRingEngine {
         Ok(BatchedRingEngine {
             n,
             base: nominal.clone(),
+            base_sum: half_period,
+            base_max: 0.0,
+            jump_ok: false,
+            floor: clamp.clone(),
+            // The first event opens a flicker window.
+            window_left: 0,
             nominal,
             clamp,
             half_period,
+            time_varying: config.noise.global.is_some() || config.noise.attack.is_some(),
             white_sigma,
             noise: config.noise.clone(),
             flicker,
             rng,
-            skew,
-            cum,
-            meta_w,
+            normals: [0.0; NORMAL_BATCH],
+            next_normal: NORMAL_BATCH,
             next_stage: 0,
-            last_time: 0.0,
-            nodes: vec![NodeEdges::default(); n],
-            forward_ps: forward_ps.max(0.0),
-            // Slack so pruned edges can never re-enter any aperture or
-            // parity window of a later sample.
-            retain_ps: lookback_ps + 4.0 * half_period + 64.0,
-            prune_tick: 0,
-            white_block: Vec::new(),
-            innov_block: Vec::new(),
-            tbuf: Vec::new(),
+            t: 0.0,
+            nodes: vec![
+                NodeWindow {
+                    edges: [0.0; WINDOW_CAP],
+                    len: 0,
+                    count: 0,
+                };
+                n
+            ],
+            lines: taps,
+            window_lo,
+            window_hi,
         })
     }
 
@@ -345,168 +418,163 @@ impl BatchedRingEngine {
         Ps::from_ps(self.half_period)
     }
 
-    /// Synthesises one block of [`EVENT_BLOCK`] ring transitions into
-    /// the per-node edge buffers.
-    fn synthesize_block(&mut self) {
-        let k_total = EVENT_BLOCK;
-        let windows = k_total / FLICKER_WINDOW;
-        self.white_block.resize(k_total, 0.0);
-        if self.white_sigma > 0.0 {
-            self.rng.fill_standard_normals(&mut self.white_block);
+    /// Next standard normal, from a local batch so the per-event path
+    /// reads one array slot instead of the RNG's block buffer.
+    #[inline]
+    fn normal(&mut self) -> f64 {
+        if self.next_normal == NORMAL_BATCH {
+            self.rng.fill_standard_normals(&mut self.normals);
+            self.next_normal = 0;
         }
-        if self.flicker.is_some() {
-            self.innov_block.resize(windows * self.n, 0.0);
-            self.rng.fill_standard_normals(&mut self.innov_block);
-        }
-        let n = self.n;
-        let wsig = self.white_sigma;
-        let simple = self.noise.global.is_none() && self.noise.attack.is_none();
-        if simple && n == 3 {
-            // The paper ring: a fully fused loop that pushes each
-            // event time straight onto its node, no staging pass.
-            self.synthesize_simple3(windows);
-            return;
-        }
-        self.tbuf.resize(k_total, 0.0);
+        let z = self.normals[self.next_normal];
+        self.next_normal += 1;
+        z
+    }
 
-        let mut t = self.last_time;
-        let mut s = self.next_stage;
-        for w in 0..windows {
-            // Advance every stage's OU state once per window (exact
-            // decay for the window span), then hold it constant: the
-            // effective per-stage base delay for this window.
-            if let Some(f) = &mut self.flicker {
-                for st in 0..n {
-                    f.state[st] = f.state[st] * f.a + f.innov_sd * self.innov_block[w * n + st];
-                    self.base[st] = self.nominal[st] + f.state[st];
-                }
+    /// Opens the next flicker window: advances every stage's OU state
+    /// once (exact decay for the window span), holds the resulting
+    /// base delays for the window, and decides whether its events may
+    /// be jumped.
+    fn next_flicker_window(&mut self) {
+        if let Some(f) = &mut self.flicker {
+            for s in 0..self.n {
+                f.state[s] = f.state[s] * f.a + f.innov_sd * self.rng.standard_normal();
+                self.base[s] = self.nominal[s] + f.state[s];
             }
-            let k0 = w * FLICKER_WINDOW;
-            if simple {
-                // Fast path (no global modulation, no attack): one
-                // fused multiply-add + clamp per event.
-                for k in k0..k0 + FLICKER_WINDOW {
-                    let mut d = self.base[s] + wsig * self.white_block[k];
-                    if d < self.clamp[s] {
-                        d = self.clamp[s];
-                    }
-                    t += d;
-                    self.tbuf[k] = t;
-                    s += 1;
-                    if s == n {
-                        s = 0;
-                    }
-                }
+        }
+        self.base_sum = self.base.iter().sum();
+        self.base_max = self.base.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        let reach = self.white_sigma * Z_MAX;
+        self.jump_ok = !self.time_varying
+            && self.white_sigma > 0.0
+            && self
+                .base
+                .iter()
+                .zip(&self.clamp)
+                .all(|(b, c)| b - reach > *c);
+        for s in 0..self.n {
+            self.floor[s] = if self.jump_ok {
+                self.base[s] - reach
             } else {
-                // General path: same composition as the scalar
-                // `StageNoise::stage_delay`, at the same event times —
-                // multiplicative global factor, additive white +
-                // flicker, attack at the prospective edge instant.
-                for k in k0..k0 + FLICKER_WINDOW {
-                    let mut d = self.nominal[s];
-                    if let Some(g) = &self.noise.global {
-                        d *= g.delay_factor(Ps::from_ps(t));
-                    }
-                    if wsig > 0.0 {
-                        d += wsig * self.white_block[k];
-                    }
-                    d += self.base[s] - self.nominal[s];
-                    if let Some(a) = &self.noise.attack {
-                        d += a.injected_delay(Ps::from_ps(t + d)).as_ps();
-                    }
-                    if d < self.clamp[s] {
-                        d = self.clamp[s];
-                    }
-                    t += d;
-                    self.tbuf[k] = t;
-                    s += 1;
-                    if s == n {
-                        s = 0;
-                    }
-                }
-            }
+                self.clamp[s]
+            };
         }
-
-        // Scatter the staged event times to their nodes: event k
-        // toggles stage (next_stage + k) mod n.
-        let s0 = self.next_stage;
-        if n == 3 {
-            // Single pass: element j of every 3-chunk lands on stage
-            // (s0 + j) % 3, so the three targets are fixed per lane —
-            // one sweep over the staging buffer instead of three
-            // strided walks.
-            let (h0, rest) = self.nodes.split_at_mut(1);
-            let (h1, h2) = rest.split_at_mut(1);
-            let mut vecs = [&mut h0[0].times, &mut h1[0].times, &mut h2[0].times];
-            for v in &mut vecs {
-                v.reserve(k_total / 3 + 1);
-            }
-            let d = [s0 % 3, (s0 + 1) % 3, (s0 + 2) % 3];
-            let mut chunks = self.tbuf.chunks_exact(3);
-            for ch in &mut chunks {
-                vecs[d[0]].push(ch[0]);
-                vecs[d[1]].push(ch[1]);
-                vecs[d[2]].push(ch[2]);
-            }
-            for (j, &tv) in chunks.remainder().iter().enumerate() {
-                vecs[d[j]].push(tv);
-            }
-        } else {
-            for off in 0..n {
-                let stage = (s0 + off) % n;
-                self.nodes[stage]
-                    .times
-                    .extend(self.tbuf[off..].iter().step_by(n));
-            }
-        }
-        self.next_stage = s;
-        self.last_time = t;
+        self.window_left = FLICKER_WINDOW;
     }
 
-    /// Fused synthesis for the 3-stage ring without global modulation
-    /// or attack injection: one multiply-add + clamp per event, event
-    /// times pushed straight onto their node buffers.
-    fn synthesize_simple3(&mut self, windows: usize) {
-        let wsig = self.white_sigma;
-        let mut t = self.last_time;
+    /// Events that can be jumped while provably landing short of a
+    /// point `gap` ps ahead: a `k` (at most the rest of the flicker
+    /// window) with `k·b_max + Z_MAX·σ·√k < gap`, or 0 when the window
+    /// does not allow jumps or the gap has room for less than two
+    /// events (a one-event jump is just a step).
+    fn jump_len(&self, gap: f64) -> usize {
+        let (b, a) = (self.base_max, Z_MAX * self.white_sigma);
+        if !self.jump_ok || gap <= 2.0 * b + a * std::f64::consts::SQRT_2 {
+            return 0;
+        }
+        // √k < √(gap/b), so k·b < gap − a·√(gap/b) is enough: one
+        // square root and one division on the per-sample path.
+        let k = ((gap - a * (gap / b).sqrt()) / b).ceil() - 1.0;
+        if k < 2.0 {
+            return 0;
+        }
+        (k as usize).min(self.window_left)
+    }
+
+    /// Advances the ring by `k` events in one draw: their summed delay
+    /// is `Σbase + σ·√k·z` (no event could reach the clamp), and each
+    /// node's edge count advances by the toggles it received.
+    fn jump(&mut self, k: usize) {
+        debug_assert!(k <= self.window_left && self.jump_ok);
+        let n = self.n;
+        let (cycles, rest) = (k / n, k % n);
+        let mut sum = cycles as f64 * self.base_sum;
+        for node in &mut self.nodes {
+            debug_assert_eq!(node.len, 0, "jumped over a live edge");
+            node.count += cycles as u64;
+        }
         let mut s = self.next_stage;
-        let (h0, rest) = self.nodes.split_at_mut(1);
-        let (h1, h2) = rest.split_at_mut(1);
-        let mut vecs = [&mut h0[0].times, &mut h1[0].times, &mut h2[0].times];
-        for v in &mut vecs {
-            v.reserve(EVENT_BLOCK / 3 + 1);
+        for _ in 0..rest {
+            sum += self.base[s];
+            self.nodes[s].count += 1;
+            s = if s + 1 == n { 0 } else { s + 1 };
         }
-        for w in 0..windows {
-            if let Some(f) = &mut self.flicker {
-                for st in 0..3 {
-                    f.state[st] = f.state[st] * f.a + f.innov_sd * self.innov_block[w * 3 + st];
-                    self.base[st] = self.nominal[st] + f.state[st];
-                }
-            }
-            let base = [self.base[0], self.base[1], self.base[2]];
-            let clamp = [self.clamp[0], self.clamp[1], self.clamp[2]];
-            let k0 = w * FLICKER_WINDOW;
-            for &z in &self.white_block[k0..k0 + FLICKER_WINDOW] {
-                let mut d = base[s] + wsig * z;
-                if d < clamp[s] {
-                    d = clamp[s];
-                }
-                t += d;
-                vecs[s].push(t);
-                s += 1;
-                if s == 3 {
-                    s = 0;
-                }
-            }
-        }
+        self.t += sum + self.white_sigma * (k as f64).sqrt() * self.normal();
         self.next_stage = s;
-        self.last_time = t;
+        self.window_left -= k;
     }
 
-    /// Extends synthesis until the newest event is at or past `t_ps`.
-    fn ensure_until(&mut self, t_ps: f64) {
-        while self.last_time < t_ps {
-            self.synthesize_block();
+    /// Synthesises one event and records it on its node when it lands
+    /// at or after `keep_from`.
+    fn step(&mut self, keep_from: f64) {
+        let s = self.next_stage;
+        let mut d = if self.time_varying {
+            // Same composition as the scalar `StageNoise::stage_delay`,
+            // at the same event times: multiplicative global factor,
+            // additive white + flicker, attack at the prospective edge
+            // instant.
+            let mut d = self.nominal[s];
+            if let Some(g) = &self.noise.global {
+                d *= g.delay_factor(Ps::from_ps(self.t));
+            }
+            if self.white_sigma > 0.0 {
+                d += self.white_sigma * self.normal();
+            }
+            d += self.base[s] - self.nominal[s];
+            if let Some(a) = &self.noise.attack {
+                d += a.injected_delay(Ps::from_ps(self.t + d)).as_ps();
+            }
+            d
+        } else if self.white_sigma > 0.0 {
+            self.base[s] + self.white_sigma * self.normal()
+        } else {
+            self.base[s]
+        };
+        if d < self.clamp[s] {
+            d = self.clamp[s];
+        }
+        self.t += d;
+        let node = &mut self.nodes[s];
+        node.count += 1;
+        if self.t >= keep_from {
+            node.edges[node.len] = self.t;
+            node.len += 1;
+        }
+        self.next_stage = if s + 1 == self.n { 0 } else { s + 1 };
+        self.window_left -= 1;
+    }
+
+    /// Synthesises every event up to `hi`, jumping where allowed while
+    /// short of `lo` and keeping every edge from `lo` on. It stops as
+    /// soon as the next event provably lands past `hi`, so that event
+    /// is left to the next sample's jump.
+    fn advance(&mut self, lo: f64, hi: f64) {
+        loop {
+            if self.window_left == 0 {
+                self.next_flicker_window();
+            }
+            let k = self.jump_len(lo - self.t);
+            if k == 0 {
+                break;
+            }
+            self.jump(k);
+        }
+        loop {
+            // The next event opens a new flicker window, whose floor is
+            // not known yet: only the clamp bounds it.
+            let s = self.next_stage;
+            let floor = if self.window_left > 0 {
+                self.floor[s]
+            } else {
+                self.clamp[s]
+            };
+            if self.t + floor > hi {
+                break;
+            }
+            if self.window_left == 0 {
+                self.next_flicker_window();
+            }
+            self.step(lo);
         }
     }
 
@@ -532,96 +600,86 @@ impl BatchedRingEngine {
             self.n
         );
         let t_ps = t.as_ps();
-        // Cover every tap instant plus its aperture so edges outside
-        // the buffer are provably farther than any metastability
-        // window; the extra half-periods guarantee buffered edges past
-        // every query the run-length and aperture scans can reach.
-        self.ensure_until(t_ps + self.forward_ps + 2.0 * self.half_period + 16.0);
+        let lo = t_ps + self.window_lo;
+        for node in &mut self.nodes {
+            node.prune_before(lo);
+        }
+        self.advance(lo, t_ps + self.window_hi);
         let mut xor = 0u64;
         for (i, slot) in words.iter_mut().enumerate() {
-            // Earliest instant this sample can query on node i:
-            // the last tap's observation instant minus the aperture.
-            let m = self.cum[i].len();
-            let min_q = (t_ps + self.skew[i][m - 1]) - self.cum[i][m - 1] - self.meta_w[i];
-            let base = self.nodes[i].seek(min_q);
-            let word = self.sample_line(i, t_ps, base, coins);
+            let word = self.sample_line(i, t_ps, coins);
             *slot = word;
             xor ^= word;
-        }
-        self.prune_tick += 1;
-        if self.prune_tick >= 32 {
-            self.prune_tick = 0;
-            let horizon = t_ps - self.retain_ps;
-            if horizon > 0.0 {
-                for node in &mut self.nodes {
-                    node.prune_before(horizon);
-                }
-            }
         }
         xor
     }
 
     /// Packed capture of one line: a faithful port of the scalar
-    /// run-length sampler over the flat edge buffer. `base` is the
-    /// node's query frontier, already past every edge at or before
-    /// this sample's earliest query instant.
-    fn sample_line(&self, line: usize, t_ps: f64, base: usize, coins: &mut SimRng) -> u64 {
-        let skew = &self.skew[line][..];
-        let cum = &self.cum[line][..];
+    /// run-length sampler over the node's window array, which holds
+    /// every edge the taps and their apertures can see.
+    fn sample_line(&self, line: usize, t_ps: f64, coins: &mut SimRng) -> u64 {
+        let taps = &self.lines[line];
+        let node = &self.nodes[line];
+        let (skew, cum) = (&taps.skew[..], &taps.cum[..]);
         let m = skew.len();
         // Same association as the scalar `tap_instant`: (t + skew) −
         // cum, so instants match bit for bit. Evaluated on demand —
-        // the searches below only ever probe a handful of the m taps,
-        // so materialising the whole array would dominate the sample.
+        // the queries below only ever probe a handful of the m taps.
         let u = |j: usize| (t_ps + skew[j]) - cum[j];
-        let node = &self.nodes[line];
+        let edges = node.live();
+        let before = node.count - edges.len() as u64;
+        let level = |c: usize| taps.init ^ ((before + c as u64) % 2 == 1);
 
-        // Levels: tap j sees initial XOR parity(#edges <= u_j), with
-        // the alternating ring initial level of node `line`.
-        let init = line % 2 == 1;
+        // Edges in (u_last − w, u_first + w] are the only ones that
+        // can split a run or open an aperture; one branch-free pass
+        // counts the live edges at or before each of the four bounds.
+        let w = taps.meta_w;
         let u_last = u(m - 1);
         let u_first = u(0);
-        let p_min = node.count_from(base, u_last);
-        let p_max = node.count_from(base, u_first);
+        let (mut e_lo, mut p_min, mut p_max, mut e_hi) = (0, 0, 0, 0);
+        for &e in edges {
+            e_lo += usize::from(e <= u_last - w);
+            p_min += usize::from(e <= u_last);
+            p_max += usize::from(e <= u_first);
+            e_hi += usize::from(e <= u_first + w);
+        }
+        if e_lo == e_hi {
+            // No edge near the line: every tap sees the same level.
+            return if level(e_lo) { range_mask(0, m) } else { 0 };
+        }
+
+        // Levels: tap j sees init XOR parity(#edges <= u_j).
         let mut word = 0u64;
         let mut j_start = 0usize;
-        let mut c = p_max;
-        while c > p_min {
-            let e = node.edge(c - 1);
-            let split = partition_taps(j_start, m, |j| u(j) >= e);
-            if init ^ (c % 2 == 1) {
+        for c in (p_min + 1..=p_max).rev() {
+            let e = edges[c - 1];
+            let split = taps.split_point(j_start, e - t_ps, |j| u(j) >= e);
+            if level(c) {
                 word |= range_mask(j_start, split);
             }
             j_start = split;
-            c -= 1;
         }
-        if init ^ (p_min % 2 == 1) {
+        if level(p_min) {
             word |= range_mask(j_start, m);
         }
 
         // Metastability apertures, walked from the latest candidate
         // edge to the earliest so coins land in ascending-tap order.
-        let w = self.meta_w[line];
         if w > 0.0 {
-            // `base` was seeked to u[m-1] - w, so it *is* e_lo.
-            let e_lo = node.removed + base as u64;
-            let e_hi = node.count_from(base, u_first + w);
             let mut next_j = 0usize;
-            let mut i = e_hi;
-            while i > e_lo {
-                i -= 1;
-                let e = node.edge(i);
+            for &e in edges[e_lo..e_hi].iter().rev() {
                 // First tap past the aperture's early side, then first
                 // tap at or past its late side: the candidate range.
-                let jlo = partition_taps(next_j, m, |j| u(j) >= e + w);
-                let jhi = partition_taps(jlo, m, |j| u(j) > e - w);
+                let jlo = taps.split_point(next_j, e + w - t_ps, |j| u(j) >= e + w);
+                let jhi = taps.split_point(jlo, e - w - t_ps, |j| u(j) > e - w);
                 for j in jlo..jhi {
-                    if let Some(d) = node.nearest_from(base, u(j)) {
-                        if d < w {
-                            let p_correct = 0.5 + 0.5 * (d / w);
-                            if !coins.bernoulli(p_correct) {
-                                word ^= 1u64 << j;
-                            }
+                    // Exact aperture test against the *nearest* edge,
+                    // which may differ from the one that nominated j.
+                    let d = nearest_distance(edges, u(j));
+                    if d < w {
+                        let p_correct = 0.5 + 0.5 * (d / w);
+                        if !coins.bernoulli(p_correct) {
+                            word ^= 1u64 << j;
                         }
                     }
                 }
@@ -632,29 +690,11 @@ impl BatchedRingEngine {
     }
 }
 
-/// First tap index `j` in `[lo, m)` where `above(j)` turns false.
-///
-/// Tap observation instants are non-increasing in `j` (validated at
-/// construction), so any `u(j) >= threshold`-style predicate is
-/// monotone and this is the usual binary partition point, with the
-/// instants computed on demand.
-fn partition_taps(lo: usize, m: usize, mut above: impl FnMut(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (lo, m);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if above(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edge_train::EdgeCursor;
+    use crate::noise::{AttackInjection, FlickerParams, GlobalModulation, SupplyTone};
     use crate::primitives::CaptureFf;
     use crate::ring_oscillator::RingOscillator;
 
@@ -710,6 +750,33 @@ mod tests {
             .collect()
     }
 
+    fn engine(config: &RingOscillatorConfig, seed: u64) -> BatchedRingEngine {
+        let lines = ideal_lines(config.stages, 36, Ps::from_ps(17.0));
+        BatchedRingEngine::new(config, &lines, SimRng::seed_from(seed)).expect("supported")
+    }
+
+    /// Synthesises one event at a time, never jumping, opening flicker
+    /// windows as the engine's own loop does.
+    fn step_events(
+        engine: &mut BatchedRingEngine,
+        keep_from: f64,
+        mut until: impl FnMut(&BatchedRingEngine) -> bool,
+    ) {
+        while !until(engine) {
+            if engine.window_left == 0 {
+                engine.next_flicker_window();
+            }
+            engine.step(keep_from);
+        }
+    }
+
+    fn mean_var(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+        (mean, var)
+    }
+
     #[test]
     fn noiseless_engine_matches_scalar_sampler_exactly() {
         // With zero noise there is no randomness in the edge times, so
@@ -755,15 +822,31 @@ mod tests {
     }
 
     #[test]
+    fn rejects_windows_that_could_overflow_a_node_array() {
+        // 20 ps stages clamp at 1 ps, so a ~630 ps window could see
+        // ~200 edges of one node; 480 ps stages need only a dozen.
+        let lines = ideal_lines(3, 36, Ps::from_ps(17.0));
+        let fast = RingOscillatorConfig::ideal(3, Ps::from_ps(20.0), Ps::from_ps(0.1));
+        let err = BatchedRingEngine::new(&fast, &lines, SimRng::seed_from(0)).unwrap_err();
+        assert!(err.contains("edges per node"), "{err}");
+        let paper = RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6));
+        assert!(BatchedRingEngine::new(&paper, &lines, SimRng::seed_from(0)).is_ok());
+    }
+
+    #[test]
     fn edge_intervals_match_scalar_statistics() {
         // White sigma 2.6 ps per stage: node-0 toggle intervals are
         // the half-period with variance 3 sigma^2.
         let config = RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6));
-        let lines = ideal_lines(3, 8, Ps::from_ps(17.0));
-        let mut engine =
-            BatchedRingEngine::new(&config, &lines, SimRng::seed_from(7)).expect("supported");
-        engine.ensure_until(4.0 * EVENT_BLOCK as f64 * 480.0);
-        let v = &engine.nodes[0].times;
+        let mut engine = engine(&config, 7);
+        let mut v = Vec::new();
+        for _ in 0..4 * 4096 {
+            let stage = engine.next_stage;
+            step_events(&mut engine, f64::INFINITY, |e| e.next_stage != stage);
+            if stage == 0 {
+                v.push(engine.t);
+            }
+        }
         let n = v.len() - 1;
         assert!(n > 4000, "expected thousands of edges, got {n}");
         let mut sum = 0.0;
@@ -785,18 +868,18 @@ mod tests {
 
     #[test]
     fn flicker_state_stays_stationary() {
-        use crate::noise::FlickerParams;
         let config = RingOscillatorConfig {
             noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_flicker(FlickerParams::default()),
             ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6))
         };
-        let lines = ideal_lines(3, 8, Ps::from_ps(17.0));
-        let mut engine =
-            BatchedRingEngine::new(&config, &lines, SimRng::seed_from(11)).expect("supported");
+        let mut engine = engine(&config, 11);
         let mut sum2 = 0.0;
         let rounds = 400;
         for _ in 0..rounds {
-            engine.synthesize_block();
+            // 32 flicker windows per round (4096 events).
+            for _ in 0..32 {
+                engine.next_flicker_window();
+            }
             for &s in &engine.flicker.as_ref().expect("flicker on").state {
                 sum2 += s * s;
             }
@@ -811,24 +894,23 @@ mod tests {
 
     #[test]
     fn flicker_window_autocorrelation_is_exponential() {
-        use crate::noise::FlickerParams;
         // The per-window OU update must keep the exact exponential
         // autocorrelation exp(-lag/tau_c) at window granularity.
         let config = RingOscillatorConfig {
             noise: NoiseConfig::white_only(Ps::ZERO).with_flicker(FlickerParams::default()),
             ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::ZERO)
         };
-        let lines = ideal_lines(3, 8, Ps::from_ps(17.0));
-        let mut engine =
-            BatchedRingEngine::new(&config, &lines, SimRng::seed_from(3)).expect("supported");
-        // Record stage-0 state once per block (EVENT_BLOCK events =
-        // 32 windows), long enough for several correlation times.
+        let mut engine = engine(&config, 3);
+        // Record stage-0 state once per 4096 events (32 windows), long
+        // enough for several correlation times.
         let mut series = Vec::new();
         for _ in 0..6000 {
-            engine.synthesize_block();
+            for _ in 0..32 {
+                engine.next_flicker_window();
+            }
             series.push(engine.flicker.as_ref().expect("flicker on").state[0]);
         }
-        let block_span = EVENT_BLOCK as f64 * 480.0; // ps per block
+        let block_span: f64 = 4096.0 * 480.0; // ps per 32 windows
         let lag_blocks = (1e6 / block_span).round() as usize; // ~tau_c
         let mean = series.iter().sum::<f64>() / series.len() as f64;
         let var = series.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / series.len() as f64;
@@ -868,5 +950,263 @@ mod tests {
             (s - b).abs() < 0.02,
             "one-bit frequency scalar {s} vs batched {b}"
         );
+    }
+
+    #[test]
+    fn z_max_bounds_the_block_ziggurat() {
+        use crate::rng::{word_to_open01, ziggurat_tail};
+        // The smallest open-interval uniform is 2^-53; the tail returns
+        // R - ln(u)/R, so Z_MAX is its value there.
+        let u_min = word_to_open01(0);
+        assert_eq!(u_min, 2f64.powi(-53));
+        let r = 3.654_152_885_361_009;
+        assert!(
+            (Z_MAX - (r - u_min.ln() / r)).abs() < 1e-12,
+            "Z_MAX {Z_MAX}"
+        );
+        assert!((Z_MAX - 13.7076).abs() < 1e-3);
+        // Every tail draw stays inside it, including the extreme words
+        // (a second word of 0 accepts the widest x the first allows; a
+        // rejected first pair retries with a moderate x).
+        for first in [0u64, 1, 1 << 12, 1 << 40, u64::MAX / 3, u64::MAX] {
+            for negative in [false, true] {
+                let mut words = [first, 0, 1 << 40, 0].into_iter().cycle();
+                let z = ziggurat_tail(&mut || words.next().expect("cycle"), negative);
+                assert!(z.abs() <= Z_MAX && z.abs() >= r, "tail draw {z}");
+            }
+        }
+        // And a long batched stream never exceeds it.
+        let mut rng = SimRng::seed_from(77);
+        rng.enable_batched_normals();
+        let mut buf = vec![0.0; 1 << 16];
+        for _ in 0..16 {
+            rng.fill_standard_normals(&mut buf);
+            assert!(buf.iter().all(|z| z.abs() <= Z_MAX));
+        }
+    }
+
+    #[test]
+    fn jump_time_has_the_summed_mean_and_variance() {
+        // k events of base 480 ps and sigma 2.6 ps: one jump must
+        // advance t by N(k*480, k*sigma^2).
+        let config = RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6));
+        let mut engine = engine(&config, 13);
+        let k = 17;
+        let trials = 20_000;
+        let mut dts = Vec::with_capacity(trials);
+        for _ in 0..trials {
+            engine.next_flicker_window();
+            assert!(engine.jump_ok);
+            let (t0, counts0): (f64, Vec<u64>) =
+                (engine.t, engine.nodes.iter().map(|n| n.count).collect());
+            let s0 = engine.next_stage;
+            engine.jump(k);
+            dts.push(engine.t - t0);
+            // 17 = 5 traversals + 2: stages s0 and s0+1 toggle once more.
+            for (i, node) in engine.nodes.iter().enumerate() {
+                let extra = u64::from((i + 3 - s0) % 3 < 2);
+                assert_eq!(node.count - counts0[i], 5 + extra, "node {i}");
+            }
+            assert_eq!(engine.next_stage, (s0 + 2) % 3);
+        }
+        let (mean, var) = mean_var(&dts);
+        let expect_var = k as f64 * 2.6 * 2.6;
+        let se_mean = (expect_var / trials as f64).sqrt();
+        let se_var = expect_var * (2.0 / trials as f64).sqrt();
+        assert!(
+            (mean - k as f64 * 480.0).abs() < 5.0 * se_mean,
+            "mean {mean}"
+        );
+        assert!(
+            (var - expect_var).abs() < 5.0 * se_var,
+            "variance {var}, expected {expect_var}"
+        );
+    }
+
+    #[test]
+    fn jumped_and_per_event_windows_agree() {
+        // Bring fresh engines to the sampling window of t = 20 ns,
+        // once through the jump and once event by event: the window's
+        // edges must be equally distributed.
+        let config = RingOscillatorConfig {
+            noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_flicker(FlickerParams::default()),
+            ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6))
+        };
+        let t_s = 20_000.0;
+        let trials = 3000;
+        let record = |e: &BatchedRingEngine| -> (f64, u64, f64) {
+            // Offset of the earliest window edge, total edge count,
+            // and the newest event's offset.
+            let first = e
+                .nodes
+                .iter()
+                .filter_map(|n| n.live().first())
+                .fold(f64::INFINITY, |a, &b| a.min(b));
+            (
+                first - t_s,
+                e.nodes.iter().map(|n| n.count).sum(),
+                e.t - t_s,
+            )
+        };
+        // Fresh engines from one template: new noise stream, new
+        // stationary flicker state.
+        let template = engine(&config, 0);
+        let fresh = |seed: u64| {
+            let mut e = template.clone();
+            e.rng = SimRng::seed_from(seed);
+            e.rng.enable_batched_normals();
+            if let Some(f) = &mut e.flicker {
+                for x in &mut f.state {
+                    *x = e.rng.gaussian(0.0, 0.5);
+                }
+            }
+            e
+        };
+        let (lo, hi) = (t_s + template.window_lo, t_s + template.window_hi);
+        let mut jumped = Vec::new();
+        let mut stepped = Vec::new();
+        for seed in 0..trials {
+            let mut e = fresh(seed);
+            let mut jumps = 0;
+            while e.t <= hi {
+                if e.window_left == 0 {
+                    e.next_flicker_window();
+                }
+                let k = e.jump_len(lo - e.t);
+                if k > 0 {
+                    e.jump(k);
+                    jumps += 1;
+                } else {
+                    e.step(lo);
+                }
+            }
+            assert!(jumps > 0, "trial {seed} never jumped");
+            jumped.push(record(&e));
+            let mut e = fresh(seed + 1_000_000);
+            step_events(&mut e, lo, |e| e.t > hi);
+            stepped.push(record(&e));
+        }
+        for (name, pick) in [
+            (
+                "first edge",
+                (|r: &(f64, u64, f64)| r.0) as fn(&(f64, u64, f64)) -> f64,
+            ),
+            ("edge count", |r| r.1 as f64),
+            ("newest event", |r| r.2),
+        ] {
+            let a: Vec<f64> = jumped.iter().map(pick).collect();
+            let b: Vec<f64> = stepped.iter().map(pick).collect();
+            let ((ma, va), (mb, vb)) = (mean_var(&a), mean_var(&b));
+            let se = ((va + vb) / trials as f64).sqrt().max(1e-9);
+            assert!((ma - mb).abs() < 5.0 * se, "{name}: mean {ma} vs {mb}");
+            assert!(
+                (va - vb).abs() <= 0.2 * va.max(vb) + 1e-9,
+                "{name}: variance {va} vs {vb}"
+            );
+        }
+    }
+
+    #[test]
+    fn advance_leaves_no_event_inside_the_window() {
+        // After each sample the next event, synthesised on a copy, must
+        // land past the window: stepping may stop early only when that
+        // is certain.
+        let tone = GlobalModulation::supply_tone(SupplyTone::new(1e6, 0.002));
+        let configs = [
+            RingOscillatorConfig {
+                noise: NoiseConfig::white_only(Ps::from_ps(2.6))
+                    .with_flicker(FlickerParams::default()),
+                ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6))
+            },
+            RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(30.0)),
+            RingOscillatorConfig {
+                noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_global(tone),
+                ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6))
+            },
+        ];
+        for (i, config) in configs.iter().enumerate() {
+            let mut e = engine(config, 17);
+            let mut words = vec![0u64; 3];
+            let mut coins = SimRng::seed_from(3);
+            for s in 1..=2000u64 {
+                let t_s = s as f64 * 10_000.0;
+                e.sample_words(Ps::from_ps(t_s), &mut coins, &mut words);
+                let mut next = e.clone();
+                step_events(&mut next, f64::INFINITY, |n| n.t != e.t);
+                assert!(next.t > t_s + e.window_hi, "config {i} sample {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_jump_when_the_clamp_is_reachable_or_delays_vary_in_time() {
+        let tone = GlobalModulation::supply_tone(SupplyTone::new(1e6, 0.002));
+        let attack = AttackInjection::periodic(Ps::from_ps(3.0), 5e6);
+        let configs = [
+            // (480 - 24) / 13.71 = 33.3 ps: 40 ps can reach the clamp.
+            RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(40.0)),
+            RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::ZERO),
+            RingOscillatorConfig {
+                noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_global(tone),
+                ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6))
+            },
+            RingOscillatorConfig {
+                noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_attack(attack),
+                ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6))
+            },
+        ];
+        for (i, config) in configs.iter().enumerate() {
+            let mut e = engine(config, 5);
+            e.next_flicker_window();
+            assert!(!e.jump_ok, "config {i}");
+            assert_eq!(e.jump_len(1e6), 0, "config {i}");
+            // No flicker window of a driven engine allows a jump.
+            let mut words = vec![0u64; 3];
+            let mut coins = SimRng::seed_from(1);
+            for s in 1..=50 {
+                e.sample_words(Ps::from_ps(s as f64 * 10_000.0), &mut coins, &mut words);
+                assert!(!e.jump_ok, "config {i} sample {s}");
+            }
+        }
+        // Just under the reach, the paper ring jumps.
+        let config = RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(33.0));
+        let mut e = engine(&config, 5);
+        e.next_flicker_window();
+        assert!(e.jump_ok && e.jump_len(1e4) > 0);
+    }
+
+    #[test]
+    fn jumps_never_cross_a_flicker_window() {
+        let config = RingOscillatorConfig {
+            noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_flicker(FlickerParams::default()),
+            ..RingOscillatorConfig::ideal(3, Ps::from_ps(480.0), Ps::from_ps(2.6))
+        };
+        let mut e = engine(&config, 9);
+        e.next_flicker_window();
+        for left in [1, 2, 5, 17, FLICKER_WINDOW] {
+            e.window_left = left;
+            assert_eq!(e.jump_len(1e9), left, "window_left {left}");
+        }
+        // The jump bound holds with a short gap too.
+        e.window_left = FLICKER_WINDOW;
+        let gap = 5_000.0;
+        let k = e.jump_len(gap);
+        let reach = k as f64 * e.base_max + Z_MAX * 2.6 * (k as f64).sqrt();
+        assert!(k > 0 && reach < gap, "k {k} reaches {reach}");
+        // Over a long run every window opens exactly on its 128-event
+        // boundary: events so far plus events left in the open window
+        // is always a whole number of windows.
+        let mut words = vec![0u64; 3];
+        let mut coins = SimRng::seed_from(2);
+        for s in 1..=3000u64 {
+            e.sample_words(Ps::from_ps(s as f64 * 10_000.0), &mut coins, &mut words);
+            let events: u64 = e.nodes.iter().map(|n| n.count).sum();
+            assert!(e.window_left <= FLICKER_WINDOW);
+            assert_eq!(
+                (events + e.window_left as u64) % FLICKER_WINDOW as u64,
+                0,
+                "sample {s}"
+            );
+        }
     }
 }

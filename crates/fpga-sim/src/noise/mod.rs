@@ -35,18 +35,20 @@ use crate::time::Ps;
 ///   Box–Muller draw per transition event, in the exact sequence every
 ///   byte-identical stream, trace, and journal in this repository is
 ///   pinned to. The default.
-/// * [`NoiseBackend::Batched`] — block synthesis: ziggurat Gaussians
-///   filled from bulk word output and whole edge trains generated per
-///   window. *Statistically* identical to `Scalar` (same distributions,
-///   same OU recurrence, same modulation formulas evaluated at the
-///   actual event times) but not draw-identical, so replay contracts
-///   do not hold. Roughly an order of magnitude faster per raw bit.
+/// * [`NoiseBackend::Batched`] — ziggurat Gaussians filled from bulk
+///   word output and, in the carry-chain engine, sample-synchronous
+///   synthesis (one Gaussian jump across the transitions no tap sees,
+///   then only the sampling window). *Statistically* identical to
+///   `Scalar` (same distributions, same OU recurrence, same modulation
+///   formulas evaluated at the actual event times) but not
+///   draw-identical, so replay contracts do not hold. Roughly an order
+///   of magnitude faster per raw bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NoiseBackend {
     /// Scalar per-event Box–Muller synthesis (replay-exact).
     #[default]
     Scalar,
-    /// Block ziggurat + whole-window edge-train synthesis
+    /// Block ziggurat + sample-synchronous edge synthesis
     /// (statistically equivalent, not draw-identical).
     Batched,
 }

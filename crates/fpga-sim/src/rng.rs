@@ -28,6 +28,10 @@ use trng_testkit::prng::{Rng, RngCore, SeedableRng, Xoshiro256ppX4};
 const ZIG_R: f64 = 3.654_152_885_361_009;
 /// Common layer area for the 256-layer normal ziggurat.
 const ZIG_V: f64 = 0.00492867323399;
+/// Largest magnitude the block ziggurat can return: the tail formula
+/// `R − ln(u)/R` at the smallest open-interval uniform `u = 2⁻⁵³`
+/// (every layer draw is below `R`).
+pub(crate) const Z_MAX: f64 = ZIG_R + 53.0 * core::f64::consts::LN_2 / ZIG_R;
 
 /// Ziggurat lookup tables: layer boundaries `x[i]` (decreasing,
 /// `x[0] = V / f(R)` oversized to fold the tail into layer 0) and the
@@ -96,12 +100,12 @@ fn word_to_unit(w: u64) -> f64 {
 
 /// Maps a raw word to a uniform in the *open* interval `(0, 1)`.
 #[inline]
-fn word_to_open01(w: u64) -> f64 {
+pub(crate) fn word_to_open01(w: u64) -> f64 {
     ((w >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
 }
 
 /// Exact normal tail beyond `ZIG_R` (Marsaglia's exponential wrap).
-fn ziggurat_tail(words: &mut impl FnMut() -> u64, negative: bool) -> f64 {
+pub(crate) fn ziggurat_tail(words: &mut impl FnMut() -> u64, negative: bool) -> f64 {
     loop {
         let x = word_to_open01(words()).ln() / ZIG_R; // <= 0
         let y = word_to_open01(words()).ln(); // <= 0
@@ -118,14 +122,22 @@ fn ziggurat_tail(words: &mut impl FnMut() -> u64, negative: bool) -> f64 {
 /// `words`/`wpos` form the resumable bulk word stream ([`WORD_BLOCK`]
 /// words refilled at a time from the four interleaved xoshiro lanes,
 /// which beat a single stream's serial state-update latency).
-fn ziggurat_fill(lanes: &mut Xoshiro256ppX4, words: &mut [u64], wpos: &mut usize, out: &mut [f64]) {
+/// `rejects` is scratch space for phase 2, kept by the caller so
+/// steady-state refills never allocate.
+fn ziggurat_fill(
+    lanes: &mut Xoshiro256ppX4,
+    words: &mut [u64],
+    wpos: &mut usize,
+    rejects: &mut Vec<(u32, u64)>,
+    out: &mut [f64],
+) {
     let t = zig_tables();
     let mut wp = *wpos;
     // Phase 1: one word per slot, branch-predictable accept test.
     // ~97.5 % of draws land strictly inside their layer and are done;
     // the rest carry their word to phase 2, so the hot loop has no
     // data-dependent control flow beyond a rarely taken push.
-    let mut rejects: Vec<(u32, u64)> = Vec::new();
+    rejects.clear();
     let mut k = 0usize;
     while k < out.len() {
         if wp == words.len() {
@@ -163,7 +175,7 @@ fn ziggurat_fill(lanes: &mut Xoshiro256ppX4, words: &mut [u64], wpos: &mut usize
             w
         }};
     }
-    for &(slot, first_bits) in &rejects {
+    for &(slot, first_bits) in rejects.iter() {
         let mut bits = first_bits;
         out[slot as usize] = loop {
             let i = (bits & 0xff) as usize;
@@ -200,6 +212,8 @@ struct BatchNormals {
     pos: usize,
     words: Vec<u64>,
     wpos: usize,
+    /// Phase-2 scratch of [`ziggurat_fill`], reused across refills.
+    rejects: Vec<(u32, u64)>,
     /// Four interleaved xoshiro lanes feeding the word stream, seeded
     /// from the owning generator when batched mode is enabled.
     lanes: Xoshiro256ppX4,
@@ -212,6 +226,7 @@ impl BatchNormals {
             pos: 0,
             words: vec![0u64; WORD_BLOCK],
             wpos: WORD_BLOCK,
+            rejects: Vec::new(),
             lanes: Xoshiro256ppX4::seed_from_u64(seeder.next_u64()),
         }
     }
@@ -224,6 +239,7 @@ impl BatchNormals {
             &mut self.lanes,
             &mut self.words,
             &mut self.wpos,
+            &mut self.rejects,
             &mut self.normals,
         );
     }

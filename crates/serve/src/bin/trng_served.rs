@@ -61,7 +61,7 @@ OPTIONS:
                           carry_chain | dual_osc | trace_replay | os_entropy
                           (trace_replay self-captures a carry-chain trace at startup)
   --noise-backend MODE    scalar (replay-exact, default) | batched (statistically
-                          equivalent whole-window synthesis, ~an order of magnitude
+                          equivalent sample-synchronous synthesis, ~an order of magnitude
                           faster per raw bit; applies to simulated-noise shards)
   --coherence QUORUM      enable the cross-shard coherence detector (and the
                           per-shard jitter monitor it feeds on): alarm when the
