@@ -245,14 +245,18 @@ impl Snippet {
         }
         // Bit j set iff taps j and j+1 differ — the edge positions.
         let diff = (xor ^ (xor >> 1)) & (u64::MAX >> (64 - (m - 1) as u32));
-        match diff.count_ones() {
-            0 => SnippetKind::NoEdge,
-            1 => SnippetKind::Regular,
-            // Adjacent set bits in `diff` are edges one tap apart: an
-            // isolated flipped bit, i.e. a bubble.
-            _ if diff & (diff >> 1) != 0 => SnippetKind::Bubbled,
-            _ => SnippetKind::DoubleEdge,
-        }
+        // Adjacent set bits in `diff` are edges one tap apart: an
+        // isolated flipped bit, i.e. a bubble (so at least two edges).
+        // Indexed rather than matched: the kind is data-dependent on
+        // every sample, and a branch on it mispredicts.
+        const BY_INDEX: [SnippetKind; 4] = [
+            SnippetKind::NoEdge,
+            SnippetKind::Regular,
+            SnippetKind::DoubleEdge,
+            SnippetKind::Bubbled,
+        ];
+        let bubbled = diff & (diff >> 1) != 0;
+        BY_INDEX[diff.count_ones().min(2) as usize + usize::from(bubbled)]
     }
 }
 

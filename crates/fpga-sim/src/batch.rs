@@ -23,10 +23,16 @@
 //!    flicker window can reach the 5 % causality clamp
 //!    (`base − σ·Z_MAX > clamp` for every stage, where `Z_MAX ≈ 13.71`
 //!    bounds every variate the block ziggurat returns), `k` such events
-//!    take exactly `Σbase + σ·√k·z` — one Gaussian draw, with the edge
-//!    counts advanced by arithmetic. `k` is chosen so that even
-//!    `k·b_max + Z_MAX·σ·√k` stays before the window, and a jump never
-//!    crosses a [`FLICKER_WINDOW`] boundary.
+//!    take exactly `Σbase(k) + σ·√k·z` — one Gaussian draw, with the
+//!    ring position advanced by arithmetic. `Σbase(k)` is the exact sum
+//!    of the `k` stage delays from the next stage on (whole traversals
+//!    plus a prefix-sum remainder), and the engine takes the largest
+//!    `k` with `Σbase(k) + Z_MAX·σ·√k` still before the window: seeded
+//!    from `gap/b_min` (no larger `k` can fit) and counted down, with
+//!    `√k` read from a table built at construction. A jump never
+//!    crosses a [`FLICKER_WINDOW`] boundary and is at least two events
+//!    long (a one-event jump is just a step). No square root or
+//!    division sits on the serial time chain.
 //! 2. **Per-event window.** The few transitions around the window are
 //!    synthesised one at a time with the same delay composition as the
 //!    scalar `StageNoise::stage_delay` (global factor, white + flicker,
@@ -38,13 +44,21 @@
 //!    with global modulation or an attack, zero white jitter (whose
 //!    sequential sums then match the scalar sampler bit for bit) or a
 //!    reachable clamp never jump: every event goes through this step.
-//! 3. **Sample.** Each line is read from its node's array with the
-//!    run-length + metastability-aperture algorithm of
-//!    [`TappedDelayLine::sample_into`]. Lines no edge touches are a
-//!    flat word. Otherwise a per-line 1 ps table of tap splits seeds
-//!    every "first tap observing before instant x" query, and an exact
-//!    fix-up with the scalar `(t + skew) − cum` association makes the
-//!    answer identical to a binary search.
+//! 3. **Sample.** Each line starts as the flat word of the level every
+//!    tap has seen, and only the node's *candidate* edges — those in
+//!    `(u_last − w, u_first + w]`, the only ones that can split a run
+//!    or open an aperture — touch it; a line without one costs no tap
+//!    walk. Per candidate edge `e`, taken latest first, a per-line 1 ps
+//!    table of tap splits seeds the first tap observing before `e + w`,
+//!    and one walk down the tap instants past `e` (the level split)
+//!    to `e − w` (the aperture's end) evaluates each scalar
+//!    `(t + skew) − cum` instant once: it counts the taps at or after
+//!    `e`, whose low-bit mask toggles the word, and draws the coin of
+//!    every tap inside the aperture as `word ^= (u ≥ p) << j` — the
+//!    scalar sampler's Bernoulli draw, in the same ascending-tap order.
+//!    With one candidate edge the nearest-edge distance is `|u − e|`;
+//!    with several it is the minimum over them, exactly what the
+//!    scalar nearest-edge query returns.
 //!
 //! The Ornstein–Uhlenbeck flicker state advances once per window of
 //! [`FLICKER_WINDOW`] events with the exact recurrence
@@ -53,7 +67,8 @@
 //! `τ_c = 1 µs`, so the piecewise-constant hold is far inside the
 //! flicker correlation time and the marginal distribution and
 //! window-scale autocorrelation are exact). Gaussian variates come from
-//! the block ziggurat ([`SimRng::enable_batched_normals`]).
+//! the block ziggurat ([`SimRng::enable_batched_normals`]) through a
+//! small local batch.
 //!
 //! Metastability coin flips still come from the *caller's* RNG, in the
 //! same ascending-tap order as the scalar sampler, so the aperture
@@ -102,20 +117,37 @@ struct FlickerState {
     state: Vec<f64>,
 }
 
+/// Standard normals drawn ahead from the engine's RNG, so the
+/// per-event path reads one array slot instead of the RNG's block
+/// buffer.
+#[derive(Debug, Clone)]
+struct NormalBatch {
+    rng: SimRng,
+    /// `buf[pos..]` are unused.
+    buf: [f64; NORMAL_BATCH],
+    pos: usize,
+}
+
+impl NormalBatch {
+    #[inline]
+    fn draw(&mut self) -> f64 {
+        if self.pos == NORMAL_BATCH {
+            self.rng.fill_standard_normals(&mut self.buf);
+            self.pos = 0;
+        }
+        let z = self.buf[self.pos];
+        self.pos += 1;
+        z
+    }
+}
+
 /// The edges of one ring node that the current sampling window can
-/// see, plus the node's total edge count.
-///
-/// Parities are computed from the *total* edge count since `t = 0`,
-/// which is equivalent to the scalar
-/// [`EdgeTrain`](crate::edge_train::EdgeTrain) flipping its initial
-/// level once per pruned edge.
+/// see.
 #[derive(Debug, Clone, Copy)]
 struct NodeWindow {
     /// Toggle instants, ps, ascending; only `edges[..len]` is live.
     edges: [f64; WINDOW_CAP],
     len: usize,
-    /// Edges since `t = 0`, the live ones included.
-    count: u64,
 }
 
 impl NodeWindow {
@@ -130,7 +162,7 @@ impl NodeWindow {
             self.len = 0;
             return;
         }
-        let dead = count_at_or_before(self.live(), horizon.next_down());
+        let dead = self.live().iter().filter(|&&e| e < horizon).count();
         self.edges.copy_within(dead..self.len, 0);
         self.len -= dead;
     }
@@ -147,51 +179,32 @@ struct LineTaps {
     meta_w: f64,
     /// Level of the sampled node before its first edge.
     init: bool,
+    /// Every tap's bit.
+    full: u64,
     /// `split[b]`: taps whose offset `skew − cum` is at least
-    /// `split_base + b` ps — a seed for [`LineTaps::split_point`].
+    /// `split_base + b` ps — a seed for [`LineTaps::seed`].
     split: Vec<u8>,
     split_base: f64,
 }
 
 impl LineTaps {
-    /// First tap `j` in `[lo, m)` where `above(j)` turns false, for a
-    /// predicate that compares the tap instant against `t_ps + x`.
-    ///
-    /// Tap instants are non-increasing in `j` (validated at
-    /// construction), so the predicate is monotone: the table gives a
-    /// start within a tap or so of the answer and the walk makes it
-    /// exact — the same index a binary partition would return.
+    /// Start for the "first tap observing before `t + x`" walk: the
+    /// taps whose offset reaches the 1 ps bucket holding `x`. Tap
+    /// instants are non-increasing (validated at construction), so
+    /// this lands within a tap or so of the answer, almost always at
+    /// or just past it.
     #[inline]
-    fn split_point(&self, lo: usize, x: f64, above: impl Fn(usize) -> bool) -> usize {
-        let m = self.skew.len();
-        // Saturating casts: anything below the table reads bucket 0.
+    fn seed(&self, x: f64) -> usize {
+        // Saturating cast: anything below the table reads bucket 0.
         let b = ((x - self.split_base) as usize).min(self.split.len() - 1);
-        let mut j = usize::from(self.split[b]).max(lo);
-        while j < m && above(j) {
-            j += 1;
-        }
-        while j > lo && !above(j - 1) {
-            j -= 1;
-        }
-        j
+        usize::from(self.split[b])
     }
 }
 
-/// Number of `edges` (ascending) at or before `x`. The slices are a
-/// few entries long, so a linear scan beats a binary search.
+/// Mask of the low `s` bits, `s ≤ 64`, without a branch.
 #[inline]
-fn count_at_or_before(edges: &[f64], x: f64) -> usize {
-    edges.iter().filter(|&&e| e <= x).count()
-}
-
-/// Distance from `u` to the nearest of `edges` (ascending), infinite
-/// when there is none.
-#[inline]
-fn nearest_distance(edges: &[f64], u: f64) -> f64 {
-    let i = count_at_or_before(edges, u);
-    let after = edges.get(i).map_or(f64::INFINITY, |&e| e - u);
-    let before = i.checked_sub(1).map_or(f64::INFINITY, |k| u - edges[k]);
-    before.min(after)
+fn low_mask(s: usize) -> u64 {
+    ((1u128 << s) - 1) as u64
 }
 
 /// Sample-synchronous engine replacing the event-at-a-time oscillator
@@ -217,18 +230,17 @@ pub struct BatchedRingEngine {
     time_varying: bool,
     white_sigma: f64,
     flicker: Option<FlickerState>,
-    rng: SimRng,
-    /// Normals drawn ahead from `rng`; `normals[next_normal..]` are
-    /// unused.
-    normals: [f64; NORMAL_BATCH],
-    next_normal: usize,
+    normals: NormalBatch,
     /// Per-stage effective base delay within the current flicker
     /// window (nominal + flicker state).
     base: Vec<f64>,
+    /// `base_prefix[j] = Σ base[i mod n]` over `i < j`, for `j ≤ 2n`:
+    /// any run of fewer than `n` events sums as one difference.
+    base_prefix: Vec<f64>,
     /// `Σ base` over one ring traversal.
     base_sum: f64,
-    /// `max base`.
-    base_max: f64,
+    /// `1 / min base`: no more than `gap / b_min` events fit in a gap.
+    inv_base_min: f64,
     /// Whether the current flicker window allows jumps (see the module
     /// docs).
     jump_ok: bool,
@@ -236,10 +248,19 @@ pub struct BatchedRingEngine {
     /// window: `base − σ·Z_MAX` where jumps are allowed, else the
     /// clamp.
     floor: Vec<f64>,
+    /// `(k / n, k % n)` for every jump length `k ≤ FLICKER_WINDOW`.
+    traversals: Vec<(u8, u8)>,
+    /// `σ·√k` and `Z_MAX·σ·√k` for every `k ≤ FLICKER_WINDOW`: the
+    /// jump's standard deviation and its provable reach.
+    jump_sd: Vec<f64>,
+    jump_reach: Vec<f64>,
     /// Events left before the next flicker-window boundary.
     window_left: usize,
     /// Stage whose output toggles at the next event.
     next_stage: usize,
+    /// Completed ring traversals: node `s` has toggled
+    /// `cycles + (s < next_stage)` times since `t = 0`.
+    cycles: u64,
     /// Instant of the newest event, ps.
     t: f64,
     nodes: Vec<NodeWindow>,
@@ -334,6 +355,7 @@ impl BatchedRingEngine {
                 cum,
                 meta_w: w,
                 init: idx % 2 == 1,
+                full: range_mask(0, m),
                 split,
                 split_base,
             });
@@ -372,14 +394,21 @@ impl BatchedRingEngine {
                 state: (0..n).map(|_| rng.gaussian(0.0, sigma)).collect(),
             })
         });
+        let sqrt_k = (0..=FLICKER_WINDOW).map(|k| (k as f64).sqrt());
 
         Ok(BatchedRingEngine {
             n,
             base: nominal.clone(),
+            base_prefix: vec![0.0; 2 * n + 1],
             base_sum: half_period,
-            base_max: 0.0,
+            inv_base_min: 0.0,
             jump_ok: false,
             floor: clamp.clone(),
+            traversals: (0..=FLICKER_WINDOW)
+                .map(|k| ((k / n) as u8, (k % n) as u8))
+                .collect(),
+            jump_sd: sqrt_k.clone().map(|r| white_sigma * r).collect(),
+            jump_reach: sqrt_k.map(|r| Z_MAX * white_sigma * r).collect(),
             // The first event opens a flicker window.
             window_left: 0,
             nominal,
@@ -389,16 +418,18 @@ impl BatchedRingEngine {
             white_sigma,
             noise: config.noise.clone(),
             flicker,
-            rng,
-            normals: [0.0; NORMAL_BATCH],
-            next_normal: NORMAL_BATCH,
+            normals: NormalBatch {
+                rng,
+                buf: [0.0; NORMAL_BATCH],
+                pos: NORMAL_BATCH,
+            },
             next_stage: 0,
+            cycles: 0,
             t: 0.0,
             nodes: vec![
                 NodeWindow {
                     edges: [0.0; WINDOW_CAP],
                     len: 0,
-                    count: 0,
                 };
                 n
             ],
@@ -418,17 +449,10 @@ impl BatchedRingEngine {
         Ps::from_ps(self.half_period)
     }
 
-    /// Next standard normal, from a local batch so the per-event path
-    /// reads one array slot instead of the RNG's block buffer.
+    /// Edges node `s` has received since `t = 0`.
     #[inline]
-    fn normal(&mut self) -> f64 {
-        if self.next_normal == NORMAL_BATCH {
-            self.rng.fill_standard_normals(&mut self.normals);
-            self.next_normal = 0;
-        }
-        let z = self.normals[self.next_normal];
-        self.next_normal += 1;
-        z
+    fn edge_count(&self, s: usize) -> u64 {
+        self.cycles + u64::from(s < self.next_stage)
     }
 
     /// Opens the next flicker window: advances every stage's OU state
@@ -438,12 +462,18 @@ impl BatchedRingEngine {
     fn next_flicker_window(&mut self) {
         if let Some(f) = &mut self.flicker {
             for s in 0..self.n {
-                f.state[s] = f.state[s] * f.a + f.innov_sd * self.rng.standard_normal();
+                f.state[s] = f.state[s] * f.a + f.innov_sd * self.normals.draw();
                 self.base[s] = self.nominal[s] + f.state[s];
             }
         }
-        self.base_sum = self.base.iter().sum();
-        self.base_max = self.base.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        let mut acc = 0.0;
+        for (j, &b) in self.base.iter().chain(&self.base).enumerate() {
+            acc += b;
+            self.base_prefix[j + 1] = acc;
+        }
+        self.base_sum = self.base_prefix[self.n];
+        let base_min = self.base.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+        self.inv_base_min = 1.0 / base_min;
         let reach = self.white_sigma * Z_MAX;
         self.jump_ok = !self.time_varying
             && self.white_sigma > 0.0
@@ -462,45 +492,53 @@ impl BatchedRingEngine {
         self.window_left = FLICKER_WINDOW;
     }
 
+    /// `Σbase` over the next `k ≤ FLICKER_WINDOW` events.
+    #[inline]
+    fn jump_span(&self, k: usize) -> f64 {
+        let (cycles, rest) = self.traversals[k];
+        let s = self.next_stage;
+        f64::from(cycles) * self.base_sum
+            + (self.base_prefix[s + usize::from(rest)] - self.base_prefix[s])
+    }
+
     /// Events that can be jumped while provably landing short of a
-    /// point `gap` ps ahead: a `k` (at most the rest of the flicker
-    /// window) with `k·b_max + Z_MAX·σ·√k < gap`, or 0 when the window
-    /// does not allow jumps or the gap has room for less than two
-    /// events (a one-event jump is just a step).
+    /// point `gap` ps ahead: the largest `k` with
+    /// `Σbase(k) + Z_MAX·σ·√k < gap`, capped at the rest of the flicker
+    /// window, or 0 when the window does not allow jumps or the gap has
+    /// room for less than two events (a one-event jump is just a step).
     fn jump_len(&self, gap: f64) -> usize {
-        let (b, a) = (self.base_max, Z_MAX * self.white_sigma);
-        if !self.jump_ok || gap <= 2.0 * b + a * std::f64::consts::SQRT_2 {
+        if !self.jump_ok {
             return 0;
         }
-        // √k < √(gap/b), so k·b < gap − a·√(gap/b) is enough: one
-        // square root and one division on the per-sample path.
-        let k = ((gap - a * (gap / b).sqrt()) / b).ceil() - 1.0;
-        if k < 2.0 {
-            return 0;
+        // k events take at least k·b_min, so none past gap/b_min fit
+        // (the saturating cast maps a negative gap to 0). Capping at 2
+        // still decides whether any jump fits when fewer are left.
+        let mut k = ((gap * self.inv_base_min) as usize).min(self.window_left.max(2));
+        while k >= 2 && self.jump_span(k) + self.jump_reach[k] >= gap {
+            k -= 1;
         }
-        (k as usize).min(self.window_left)
+        if k < 2 {
+            0
+        } else {
+            k.min(self.window_left)
+        }
     }
 
     /// Advances the ring by `k` events in one draw: their summed delay
-    /// is `Σbase + σ·√k·z` (no event could reach the clamp), and each
-    /// node's edge count advances by the toggles it received.
+    /// is `Σbase(k) + σ·√k·z` (no event could reach the clamp), and the
+    /// ring position (hence every node's edge count) advances by `k`.
     fn jump(&mut self, k: usize) {
         debug_assert!(k <= self.window_left && self.jump_ok);
-        let n = self.n;
-        let (cycles, rest) = (k / n, k % n);
-        let mut sum = cycles as f64 * self.base_sum;
-        for node in &mut self.nodes {
-            debug_assert_eq!(node.len, 0, "jumped over a live edge");
-            node.count += cycles as u64;
-        }
-        let mut s = self.next_stage;
-        for _ in 0..rest {
-            sum += self.base[s];
-            self.nodes[s].count += 1;
-            s = if s + 1 == n { 0 } else { s + 1 };
-        }
-        self.t += sum + self.white_sigma * (k as f64).sqrt() * self.normal();
-        self.next_stage = s;
+        debug_assert!(
+            self.nodes.iter().all(|node| node.len == 0),
+            "jumped over a live edge"
+        );
+        self.t += self.jump_span(k) + self.jump_sd[k] * self.normals.draw();
+        let (cycles, rest) = self.traversals[k];
+        let s = self.next_stage + usize::from(rest);
+        let wrap = s >= self.n;
+        self.cycles += u64::from(cycles) + u64::from(wrap);
+        self.next_stage = if wrap { s - self.n } else { s };
         self.window_left -= k;
     }
 
@@ -508,7 +546,7 @@ impl BatchedRingEngine {
     /// at or after `keep_from`.
     fn step(&mut self, keep_from: f64) {
         let s = self.next_stage;
-        let mut d = if self.time_varying {
+        let d = if self.time_varying {
             // Same composition as the scalar `StageNoise::stage_delay`,
             // at the same event times: multiplicative global factor,
             // additive white + flicker, attack at the prospective edge
@@ -518,7 +556,7 @@ impl BatchedRingEngine {
                 d *= g.delay_factor(Ps::from_ps(self.t));
             }
             if self.white_sigma > 0.0 {
-                d += self.white_sigma * self.normal();
+                d += self.white_sigma * self.normals.draw();
             }
             d += self.base[s] - self.nominal[s];
             if let Some(a) = &self.noise.attack {
@@ -526,21 +564,19 @@ impl BatchedRingEngine {
             }
             d
         } else if self.white_sigma > 0.0 {
-            self.base[s] + self.white_sigma * self.normal()
+            self.base[s] + self.white_sigma * self.normals.draw()
         } else {
             self.base[s]
         };
-        if d < self.clamp[s] {
-            d = self.clamp[s];
-        }
-        self.t += d;
+        self.t += d.max(self.clamp[s]);
+        // Always written, kept only from `keep_from` on: the slot past
+        // the live edges is free either way.
         let node = &mut self.nodes[s];
-        node.count += 1;
-        if self.t >= keep_from {
-            node.edges[node.len] = self.t;
-            node.len += 1;
-        }
-        self.next_stage = if s + 1 == self.n { 0 } else { s + 1 };
+        node.edges[node.len] = self.t;
+        node.len += usize::from(self.t >= keep_from);
+        let wrap = s + 1 == self.n;
+        self.cycles += u64::from(wrap);
+        self.next_stage = if wrap { 0 } else { s + 1 };
         self.window_left -= 1;
     }
 
@@ -614,77 +650,82 @@ impl BatchedRingEngine {
         xor
     }
 
-    /// Packed capture of one line: a faithful port of the scalar
-    /// run-length sampler over the node's window array, which holds
-    /// every edge the taps and their apertures can see.
+    /// Packed capture of one line: the scalar run-length sampler's
+    /// levels and apertures, computed from the node's candidate edges
+    /// with one tap walk per edge (see the module docs).
     fn sample_line(&self, line: usize, t_ps: f64, coins: &mut SimRng) -> u64 {
         let taps = &self.lines[line];
-        let node = &self.nodes[line];
+        let edges = self.nodes[line].live();
         let (skew, cum) = (&taps.skew[..], &taps.cum[..]);
         let m = skew.len();
         // Same association as the scalar `tap_instant`: (t + skew) −
         // cum, so instants match bit for bit. Evaluated on demand —
-        // the queries below only ever probe a handful of the m taps.
+        // the walks below only ever probe a handful of the m taps.
         let u = |j: usize| (t_ps + skew[j]) - cum[j];
-        let edges = node.live();
-        let before = node.count - edges.len() as u64;
-        let level = |c: usize| taps.init ^ ((before + c as u64) % 2 == 1);
+        let w = taps.meta_w;
 
         // Edges in (u_last − w, u_first + w] are the only ones that
-        // can split a run or open an aperture; one branch-free pass
-        // counts the live edges at or before each of the four bounds.
-        let w = taps.meta_w;
-        let u_last = u(m - 1);
-        let u_first = u(0);
-        let (mut e_lo, mut p_min, mut p_max, mut e_hi) = (0, 0, 0, 0);
+        // can split a run or open an aperture; every tap has seen the
+        // edges before them.
+        let (below, above) = (u(m - 1) - w, u(0) + w);
+        let (mut lo, mut hi) = (0, 0);
         for &e in edges {
-            e_lo += usize::from(e <= u_last - w);
-            p_min += usize::from(e <= u_last);
-            p_max += usize::from(e <= u_first);
-            e_hi += usize::from(e <= u_first + w);
+            lo += usize::from(e <= below);
+            hi += usize::from(e <= above);
         }
-        if e_lo == e_hi {
-            // No edge near the line: every tap sees the same level.
-            return if level(e_lo) { range_mask(0, m) } else { 0 };
-        }
+        let seen = self.edge_count(line) - (edges.len() - lo) as u64;
+        let level = taps.init ^ (seen % 2 == 1);
+        let mut word = taps.full & 0u64.wrapping_sub(u64::from(level));
 
-        // Levels: tap j sees init XOR parity(#edges <= u_j).
-        let mut word = 0u64;
-        let mut j_start = 0usize;
-        for c in (p_min + 1..=p_max).rev() {
-            let e = edges[c - 1];
-            let split = taps.split_point(j_start, e - t_ps, |j| u(j) >= e);
-            if level(c) {
-                word |= range_mask(j_start, split);
+        let candidates = &edges[lo..hi];
+        let mut next_j = 0;
+        // Latest edge first, so coins land in ascending-tap order;
+        // taps before `next_j` were settled by a later edge.
+        for &e in candidates.iter().rev() {
+            let (early, late) = (e + w, e - w);
+            let mut j = taps.seed(early - t_ps).max(next_j);
+            while j > next_j && u(j - 1) < early {
+                j -= 1;
             }
-            j_start = split;
-        }
-        if level(p_min) {
-            word |= range_mask(j_start, m);
-        }
-
-        // Metastability apertures, walked from the latest candidate
-        // edge to the earliest so coins land in ascending-tap order.
-        if w > 0.0 {
-            let mut next_j = 0usize;
-            for &e in edges[e_lo..e_hi].iter().rev() {
-                // First tap past the aperture's early side, then first
-                // tap at or past its late side: the candidate range.
-                let jlo = taps.split_point(next_j, e + w - t_ps, |j| u(j) >= e + w);
-                let jhi = taps.split_point(jlo, e - w - t_ps, |j| u(j) > e - w);
-                for j in jlo..jhi {
+            // Taps before `j` observe at or after e + w; `split` counts
+            // on through the walk to the first tap observing before e.
+            let mut split = j;
+            while j < m {
+                let uj = u(j);
+                if uj >= early {
+                    // The seed fell short of the aperture.
+                    split += 1;
+                } else if uj <= late {
+                    break;
+                } else {
+                    split += usize::from(uj >= e);
                     // Exact aperture test against the *nearest* edge,
                     // which may differ from the one that nominated j.
-                    let d = nearest_distance(edges, u(j));
+                    let d = if candidates.len() == 1 {
+                        (uj - e).abs()
+                    } else {
+                        candidates
+                            .iter()
+                            .fold(f64::INFINITY, |d, &c| d.min((uj - c).abs()))
+                    };
                     if d < w {
                         let p_correct = 0.5 + 0.5 * (d / w);
-                        if !coins.bernoulli(p_correct) {
-                            word ^= 1u64 << j;
-                        }
+                        word ^= u64::from(coins.uniform() >= p_correct) << j;
                     }
                 }
-                next_j = jhi.max(next_j);
+                j += 1;
             }
+            if next_j > 0 && split == next_j {
+                // Overlapping apertures: the walk began past a tap that
+                // may already observe before e.
+                while split > 0 && u(split - 1) < e {
+                    split -= 1;
+                }
+            }
+            // Taps before the split have seen e: one more edge flips
+            // their level.
+            word ^= low_mask(split);
+            next_j = j;
         }
         word
     }
@@ -770,6 +811,17 @@ mod tests {
         }
     }
 
+    fn edge_counts(engine: &BatchedRingEngine) -> Vec<u64> {
+        (0..engine.n).map(|s| engine.edge_count(s)).collect()
+    }
+
+    /// `Σbase` over the next `k` events, summed one event at a time.
+    fn summed_base(engine: &BatchedRingEngine, k: usize) -> f64 {
+        (0..k)
+            .map(|i| engine.base[(engine.next_stage + i) % engine.n])
+            .sum()
+    }
+
     fn mean_var(xs: &[f64]) -> (f64, f64) {
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
@@ -805,6 +857,110 @@ mod tests {
         let scalar = scalar_words(&config, &lines, 5, 6, t_a, 400);
         let batched = batched_words(&config, &lines, 5, 6, t_a, 400);
         assert_eq!(scalar, batched);
+    }
+
+    /// The paper's placed TDC, laid out as `CarryChainTrng` builds it:
+    /// three 36-tap lines of CARRY4 bins (17 ps nominal, with the
+    /// structural DNL) under per-slice clock-region skew with the 9 ps
+    /// capture aperture, and the ring on the oscillator row below them.
+    /// Zero jitter.
+    fn placed(stage_delay: Ps) -> (RingOscillatorConfig, Vec<TappedDelayLine>) {
+        use crate::fabric::Fabric;
+        use crate::placement::TrngPlacement;
+        use crate::process::{DeviceSeed, ProcessVariation};
+
+        let fabric = Fabric::spartan6();
+        let (device, process) = (DeviceSeed::new(0), ProcessVariation::default());
+        let placement = TrngPlacement::auto(&fabric, 3, 36, 4, 1).expect("placement");
+        let site = placement.oscillator_site(0);
+        let config = RingOscillatorConfig {
+            process,
+            device,
+            base_site: (u64::from(site.x), u64::from(site.y)),
+            history_window: Ps::from_ps(17.0 * 36.0 * 2.0 + 500.0),
+            ..RingOscillatorConfig::ideal(3, stage_delay, Ps::ZERO)
+        };
+        let lines = (0..3)
+            .map(|i| {
+                let c4 = placement.carry4_site(i, 0);
+                TappedDelayLine::placed(
+                    Ps::from_ps(17.0),
+                    device,
+                    &process,
+                    &fabric,
+                    c4.x,
+                    c4.y,
+                    placement.carry4s_per_line,
+                    CaptureFf::new(Ps::from_ps(9.0)),
+                )
+            })
+            .collect();
+        (config, lines)
+    }
+
+    #[test]
+    fn placed_lines_match_scalar_sampler_exactly() {
+        // Edge times are deterministic without jitter, so on the real
+        // (unequal-bin, skewed) lines the engine must reproduce the
+        // scalar words and coin sequence bit for bit. The paper ring
+        // sees at most one edge per line; 200 ps stages put two edges
+        // of one node in a line's window (the general nearest-edge
+        // path).
+        let t_a = Ps::from_ps(9973.0);
+        let count = 2500;
+        for stage in [480.0, 200.0] {
+            let (config, lines) = placed(Ps::from_ps(stage));
+            let scalar = scalar_words(&config, &lines, 3, 4, t_a, count);
+            let batched = batched_words(&config, &lines, 3, 4, t_a, count);
+            assert_eq!(scalar, batched, "{stage} ps stages");
+            // Coins decide some of those words: another coin seed moves them.
+            let reseeded = batched_words(&config, &lines, 3, 5, t_a, count);
+            assert_ne!(batched, reseeded, "{stage} ps stages");
+        }
+    }
+
+    #[test]
+    fn sample_line_matches_the_scalar_sampler_on_dense_edges() {
+        // No supported ring puts two edges of one node closer than the
+        // aperture, so place them by hand: one to four edges around the
+        // taps of a placed line, about half of them spaced under the
+        // 9 ps aperture (overlapping apertures, taps settled by a later
+        // edge, a split below the walk's start). The word and the
+        // number of coins used must match the scalar sampler reading
+        // the same edges.
+        let (config, lines) = placed(Ps::from_ps(480.0));
+        let mut e =
+            BatchedRingEngine::new(&config, &lines, SimRng::seed_from(0)).expect("supported");
+        let mut layout = SimRng::seed_from(8);
+        let t = Ps::from_ps(50_000.0);
+        let t_ps = t.as_ps();
+        for trial in 0..4000u64 {
+            let count = 1 + trial as usize % 4;
+            let mut at = t_ps + e.window_lo + layout.uniform() * 300.0;
+            let mut train = crate::edge_train::EdgeTrain::new(false, Ps::ZERO);
+            for slot in &mut e.nodes[0].edges[..count] {
+                let spacing = if layout.bernoulli(0.5) { 12.0 } else { 300.0 };
+                at += 0.1 + layout.uniform() * spacing;
+                *slot = at;
+                train.push(Ps::from_ps(at));
+            }
+            // Every edge since t = 0 is live: node 0 has toggled `count`
+            // times, from the initial low level of line 0.
+            e.nodes[0].len = count;
+            (e.cycles, e.next_stage) = (count as u64, 0);
+            let (mut scalar_coins, mut coins) =
+                (SimRng::seed_from(trial), SimRng::seed_from(trial));
+            let scalar =
+                lines[0].sample_into(&train, t, &mut EdgeCursor::default(), &mut scalar_coins);
+            let batched = e.sample_line(0, t_ps, &mut coins);
+            let edges = &e.nodes[0].edges[..count];
+            assert_eq!(batched, scalar, "trial {trial}: edges {edges:?}");
+            assert_eq!(
+                coins.uniform(),
+                scalar_coins.uniform(),
+                "trial {trial}: coins used"
+            );
+        }
     }
 
     #[test]
@@ -997,15 +1153,14 @@ mod tests {
         for _ in 0..trials {
             engine.next_flicker_window();
             assert!(engine.jump_ok);
-            let (t0, counts0): (f64, Vec<u64>) =
-                (engine.t, engine.nodes.iter().map(|n| n.count).collect());
+            let (t0, counts0): (f64, Vec<u64>) = (engine.t, edge_counts(&engine));
             let s0 = engine.next_stage;
             engine.jump(k);
             dts.push(engine.t - t0);
             // 17 = 5 traversals + 2: stages s0 and s0+1 toggle once more.
-            for (i, node) in engine.nodes.iter().enumerate() {
+            for (i, count) in edge_counts(&engine).into_iter().enumerate() {
                 let extra = u64::from((i + 3 - s0) % 3 < 2);
-                assert_eq!(node.count - counts0[i], 5 + extra, "node {i}");
+                assert_eq!(count - counts0[i], 5 + extra, "node {i}");
             }
             assert_eq!(engine.next_stage, (s0 + 2) % 3);
         }
@@ -1042,22 +1197,18 @@ mod tests {
                 .iter()
                 .filter_map(|n| n.live().first())
                 .fold(f64::INFINITY, |a, &b| a.min(b));
-            (
-                first - t_s,
-                e.nodes.iter().map(|n| n.count).sum(),
-                e.t - t_s,
-            )
+            (first - t_s, edge_counts(e).iter().sum(), e.t - t_s)
         };
         // Fresh engines from one template: new noise stream, new
         // stationary flicker state.
         let template = engine(&config, 0);
         let fresh = |seed: u64| {
             let mut e = template.clone();
-            e.rng = SimRng::seed_from(seed);
-            e.rng.enable_batched_normals();
+            e.normals.rng = SimRng::seed_from(seed);
+            e.normals.rng.enable_batched_normals();
             if let Some(f) = &mut e.flicker {
                 for x in &mut f.state {
-                    *x = e.rng.gaussian(0.0, 0.5);
+                    *x = e.normals.rng.gaussian(0.0, 0.5);
                 }
             }
             e
@@ -1176,6 +1327,45 @@ mod tests {
     }
 
     #[test]
+    fn jump_len_is_the_largest_admissible_k() {
+        // Process-spread stages under flicker: Σbase(k) is not k·b_max,
+        // and the engine must take exactly the largest k whose bound
+        // Σbase(k) + Z_MAX·σ·√k stays short of the gap — found here by
+        // scanning every k — capped at the rest of the flicker window.
+        let config = RingOscillatorConfig {
+            noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_flicker(FlickerParams::default()),
+            ..RingOscillatorConfig::paper_default()
+        };
+        let mut e = engine(&config, 19);
+        let mut jumps = 0;
+        for _ in 0..8 {
+            e.next_flicker_window();
+            assert!(e.jump_ok);
+            for stage in 0..3 {
+                e.next_stage = stage;
+                let bound: Vec<f64> = (0..=FLICKER_WINDOW)
+                    .map(|k| summed_base(&e, k) + Z_MAX * 2.6 * (k as f64).sqrt())
+                    .collect();
+                for left in [1, 2, 3, 17, 64, FLICKER_WINDOW] {
+                    e.window_left = left;
+                    let gaps = (0..260).map(|i| -50.0 + i as f64 * 61.7);
+                    for gap in gaps.chain([1e5, 1e9]) {
+                        let largest = (2..=FLICKER_WINDOW).take_while(|&k| bound[k] < gap).last();
+                        let expect = largest.map_or(0, |k| k.min(left));
+                        assert_eq!(
+                            e.jump_len(gap),
+                            expect,
+                            "gap {gap}, stage {stage}, left {left}"
+                        );
+                        jumps += usize::from(expect > 0);
+                    }
+                }
+            }
+        }
+        assert!(jumps > 10_000, "only {jumps} admissible gaps");
+    }
+
+    #[test]
     fn jumps_never_cross_a_flicker_window() {
         let config = RingOscillatorConfig {
             noise: NoiseConfig::white_only(Ps::from_ps(2.6)).with_flicker(FlickerParams::default()),
@@ -1191,7 +1381,7 @@ mod tests {
         e.window_left = FLICKER_WINDOW;
         let gap = 5_000.0;
         let k = e.jump_len(gap);
-        let reach = k as f64 * e.base_max + Z_MAX * 2.6 * (k as f64).sqrt();
+        let reach = summed_base(&e, k) + Z_MAX * 2.6 * (k as f64).sqrt();
         assert!(k > 0 && reach < gap, "k {k} reaches {reach}");
         // Over a long run every window opens exactly on its 128-event
         // boundary: events so far plus events left in the open window
@@ -1200,7 +1390,7 @@ mod tests {
         let mut coins = SimRng::seed_from(2);
         for s in 1..=3000u64 {
             e.sample_words(Ps::from_ps(s as f64 * 10_000.0), &mut coins, &mut words);
-            let events: u64 = e.nodes.iter().map(|n| n.count).sum();
+            let events: u64 = edge_counts(&e).iter().sum();
             assert!(e.window_left <= FLICKER_WINDOW);
             assert_eq!(
                 (events + e.window_left as u64) % FLICKER_WINDOW as u64,

@@ -150,16 +150,16 @@ TRNG_BENCH_OUT_DIR=$(mktemp -d) \
 # baseline (BENCH_hotpath.json: after_ns_per_bit ~ 1615 ns/bit on the
 # reference host; the 2x headroom absorbs slower CI machines). The
 # batched gate is host-speed independent — it compares the batched and
-# scalar raw rows measured in the same process and fails below 7x
-# (the sample-synchronous engine measures a median ~11x; its short
-# batched row dips to ~7.6x on a busy 2-vCPU host). The 90B
+# scalar raw rows measured in the same process and fails below 9x
+# (the batched rows keep the best of three fills; 12 quick runs on a
+# busy 2-vCPU host measured 9.1-23.6x, median ~14x). The 90B
 # gate check is a same-process ratio too: the word-level
 # `OnlineHealth::push_word` the shards run must stay at least 4x the
 # per-bit `push` oracle over the same buffer.
-echo "==> hotpath bench (quick, scalar gate at 2x baseline, batched gate at 7x scalar, word 90B gate at 4x per-bit)"
+echo "==> hotpath bench (quick, scalar gate at 2x baseline, batched gate at 9x scalar, word 90B gate at 4x per-bit)"
 TRNG_HOTPATH_BENCH_BYTES=${TRNG_HOTPATH_BENCH_BYTES:-8192} \
 TRNG_HOTPATH_GATE_NS=${TRNG_HOTPATH_GATE_NS:-3230} \
-TRNG_HOTPATH_BATCHED_MIN_SPEEDUP=${TRNG_HOTPATH_BATCHED_MIN_SPEEDUP:-7} \
+TRNG_HOTPATH_BATCHED_MIN_SPEEDUP=${TRNG_HOTPATH_BATCHED_MIN_SPEEDUP:-9} \
 TRNG_HOTPATH_GATE_MIN_SPEEDUP=${TRNG_HOTPATH_GATE_MIN_SPEEDUP:-4} \
 TRNG_BENCH_OUT_DIR=$(mktemp -d) \
     cargo bench -q --offline -p trng-bench --bench hotpath
