@@ -10,13 +10,19 @@
 //!
 //! Run with `cargo bench --bench hotpath`; set
 //! `TRNG_HOTPATH_BENCH_BYTES` to change the measured volume (CI uses a
-//! small value for a quick smoke) and `TRNG_HOTPATH_GATE_NS` to make
-//! the run fail when raw-bit cost exceeds that many ns/bit (the CI
-//! regression gate). `TRNG_BENCH_OUT_DIR` redirects the JSON report.
-//! The batched rows keep the best of three fills: a fill is several
-//! times shorter than the scalar one, so a single run would follow
-//! host noise, and `TRNG_HOTPATH_BATCHED_MIN_SPEEDUP` gates their
-//! same-process ratio to the scalar raw row.
+//! small value for a quick run). `TRNG_BENCH_OUT_DIR` redirects the
+//! JSON report.
+//!
+//! Every gate is a ratio measured in this process, so it holds on any
+//! host:
+//! * the scalar raw row must cost at most [`SCALAR_MAX_REF_RATIO`]
+//!   times a reference kernel ([`reference_kernel`], plain integer and
+//!   float arithmetic sharing no code with the sampler) — always on;
+//! * the batched rows keep the best of three fills (a fill is several
+//!   times shorter than the scalar one, so a single run would follow
+//!   host noise), read their *before* column from the scalar row of
+//!   this run, and `TRNG_HOTPATH_BATCHED_MIN_SPEEDUP` gates the raw
+//!   pair's ratio — the same figure the speedup column prints.
 //!
 //! A second table times the SP 800-90B gate: the per-bit
 //! `OnlineHealth::push` oracle against the word-level `push_word` the
@@ -31,6 +37,7 @@ use std::time::{Duration, Instant};
 use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::{CarryChainTrng, TrngConfig};
 use trng_fpga_sim::noise::NoiseBackend;
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 use trng_testkit::prng::{RngCore, SeedableRng, StdRng};
 
@@ -43,10 +50,16 @@ const GATE_CLAIM: f64 = 0.4215;
 const BEFORE_RAW_NS_PER_BIT: f64 = 2909.7;
 /// Pre-optimization cost of one post-processed (np = 7) bit in ns.
 const BEFORE_POST_NS_PER_BIT: f64 = 19123.6;
-/// Scalar packed-pipeline cost of one raw bit (ns) as measured when the
-/// packed rewrite landed (PR 3) — the *before* column for the batched
-/// backend, so its speedup reads as "batched over best scalar".
-const SCALAR_RAW_NS_PER_BIT: f64 = 1615.12;
+/// Upper bound on scalar raw-bit cost in reference-kernel iterations.
+/// Forty-six quick runs on a shared 2-vCPU x86-64 host read 102–203
+/// (best of three each; the sampler's own speed swings ~1.8x with host
+/// load while the reference holds), and six runs with the scalar fill
+/// doubled read 255–377. At that host's reference speed (~15 ns/iter)
+/// the bound sits where the former pinned 3230 ns/bit gate did, now
+/// carried as a ratio.
+const SCALAR_MAX_REF_RATIO: f64 = 215.0;
+/// Reference-kernel iterations per timed run (~0.1 s).
+const REFERENCE_ITERS: u64 = 8_000_000;
 
 struct Run {
     name: &'static str,
@@ -55,10 +68,6 @@ struct Run {
     ns_per_bit: f64,
     wall_mbps: f64,
     before_ns_per_bit: f64,
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// Times one fill of `bytes` after a warm-up; `best_of` keeps the best
@@ -106,6 +115,23 @@ fn best_of_three(mut run: impl FnMut()) -> Duration {
         .expect("three runs")
 }
 
+/// The scalar gate's yardstick: a xorshift stream driving a
+/// data-dependent branch and a square root or logarithm per iteration
+/// — the kind of work the sampler does (random draws, unpredictable
+/// coins, float math), with none of its code.
+fn reference_kernel(iters: u64) -> f64 {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut acc = 0.0f64;
+    for _ in 0..iters {
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        let u = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
+        acc += if u < 0.5 { u.sqrt() } else { -u.ln() };
+    }
+    acc
+}
+
 /// ns per raw bit of the per-bit and the word-level gate over the
 /// same buffer.
 fn gate_rows() -> (f64, f64) {
@@ -147,7 +173,7 @@ fn gate_rows() -> (f64, f64) {
 }
 
 fn main() {
-    let bytes = env_f64("TRNG_HOTPATH_BENCH_BYTES").map_or(64 * 1024, |v| v as usize);
+    let bytes = env("TRNG_HOTPATH_BENCH_BYTES").unwrap_or(64 * 1024);
     println!("hotpath: {bytes} bytes per run, paper_k1 (n=3, m=36, k=1, np=7)\n");
 
     let mut raw_trng = CarryChainTrng::new(TrngConfig::paper_k1(), 0x407).expect("build");
@@ -161,38 +187,31 @@ fn main() {
         "paper_k1 layout must support the batched engine"
     );
 
-    let runs = [
-        measure("raw_bits", bytes, BEFORE_RAW_NS_PER_BIT, false, |buf| {
-            raw_trng.fill_raw(buf)
-        }),
-        // np = 7 raw bits per output bit: scale the volume down so both
-        // runs cost similar wall time.
-        measure(
-            "postprocessed_bits",
-            bytes / 4,
-            BEFORE_POST_NS_PER_BIT,
-            false,
-            |buf| post_trng.fill_postprocessed(buf),
-        ),
-        // Batched backend: the sample-synchronous engine, measured against
-        // the best scalar number so the column reads "x over scalar".
-        // A fill is several times shorter than the scalar one, so each
-        // row keeps the best of three.
-        measure(
-            "raw_bits_batched",
-            bytes,
-            SCALAR_RAW_NS_PER_BIT,
-            true,
-            |buf| batched_trng.fill_raw(buf),
-        ),
-        measure(
-            "postprocessed_bits_batched",
-            bytes / 4,
-            BEFORE_POST_NS_PER_BIT / BEFORE_RAW_NS_PER_BIT * SCALAR_RAW_NS_PER_BIT,
-            true,
-            |buf| batched_post.fill_postprocessed(buf),
-        ),
-    ];
+    let raw = measure("raw_bits", bytes, BEFORE_RAW_NS_PER_BIT, false, |buf| {
+        raw_trng.fill_raw(buf)
+    });
+    // np = 7 raw bits per output bit: scale the volume down so both
+    // runs cost similar wall time.
+    let post = measure(
+        "postprocessed_bits",
+        bytes / 4,
+        BEFORE_POST_NS_PER_BIT,
+        false,
+        |buf| post_trng.fill_postprocessed(buf),
+    );
+    // Batched backend: the sample-synchronous engine, measured against
+    // the scalar rows above so the speedup column reads "x over scalar".
+    let raw_batched = measure("raw_bits_batched", bytes, raw.ns_per_bit, true, |buf| {
+        batched_trng.fill_raw(buf)
+    });
+    let post_batched = measure(
+        "postprocessed_bits_batched",
+        bytes / 4,
+        post.ns_per_bit,
+        true,
+        |buf| batched_post.fill_postprocessed(buf),
+    );
+    let runs = [raw, post, raw_batched, post_batched];
 
     println!(
         "{:>20} {:>10} {:>14} {:>14} {:>12} {:>9}",
@@ -219,6 +238,23 @@ fn main() {
             ])
         })
         .collect();
+
+    // The scalar gate times both sides best of three, back to back: a
+    // single fill follows host noise that the compute-only reference
+    // does not see.
+    let mut buf = vec![0u8; bytes];
+    let scalar_ns =
+        best_of_three(|| raw_trng.fill_raw(&mut buf)).as_nanos() as f64 / (bytes as f64 * 8.0);
+    let reference_ns = best_of_three(|| {
+        black_box(reference_kernel(black_box(REFERENCE_ITERS)));
+    })
+    .as_nanos() as f64
+        / REFERENCE_ITERS as f64;
+    let scalar_ratio = scalar_ns / reference_ns;
+    println!(
+        "\nscalar gate: raw_bits {scalar_ns:.1} ns/bit (best of three) = {scalar_ratio:.1}x \
+         the reference kernel ({reference_ns:.2} ns/iter), bound {SCALAR_MAX_REF_RATIO:.0}x"
+    );
 
     let (per_bit_ns, word_ns) = gate_rows();
     let gate_speedup = per_bit_ns / word_ns;
@@ -249,10 +285,20 @@ fn main() {
                  per-edge noise synthesis, which caps the *scalar* path; the \
                  *_batched rows drop draw-identity (never the distributions) via \
                  NoiseBackend::Batched sample-synchronous synthesis, with before = the \
-                 scalar after, so their speedup column reads 'over best scalar'",
+                 scalar row of the same run, so their speedup column is the gated \
+                 'over scalar' ratio",
             ),
         ),
         ("benchmarks", Json::Arr(benchmarks)),
+        (
+            "scalar_gate",
+            Json::obj(vec![
+                ("raw_ns_per_bit_best_of_three", Json::num(scalar_ns)),
+                ("reference_ns_per_iter", Json::num(reference_ns)),
+                ("raw_bits_over_reference", Json::num(scalar_ratio)),
+                ("max_ratio", Json::num(SCALAR_MAX_REF_RATIO)),
+            ]),
+        ),
         (
             "gate",
             Json::obj(vec![
@@ -264,38 +310,32 @@ fn main() {
             ]),
         ),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_hotpath.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_hotpath.json");
+    let path = write_report("hotpath", &report).expect("write BENCH_hotpath.json");
     println!("\nwrote {}", path.display());
 
-    if let Some(gate) = env_f64("TRNG_HOTPATH_GATE_NS") {
-        let raw = &runs[0];
-        assert!(
-            raw.ns_per_bit <= gate,
-            "raw-bit cost {:.1} ns/bit exceeds the CI gate of {gate:.1} ns/bit",
-            raw.ns_per_bit
-        );
-        println!("gate ok: {:.1} ns/bit <= {gate:.1} ns/bit", raw.ns_per_bit);
-    }
+    assert!(
+        scalar_ratio <= SCALAR_MAX_REF_RATIO,
+        "raw-bit cost {scalar_ns:.1} ns/bit is {scalar_ratio:.1}x the reference kernel, \
+         gate allows {SCALAR_MAX_REF_RATIO:.0}x"
+    );
+    println!("scalar gate ok: {scalar_ratio:.1}x <= {SCALAR_MAX_REF_RATIO:.0}x reference");
 
-    if let Some(min_speedup) = env_f64("TRNG_HOTPATH_BATCHED_MIN_SPEEDUP") {
+    if let Some(min_speedup) = env::<f64>("TRNG_HOTPATH_BATCHED_MIN_SPEEDUP") {
         // Compare the two raw rows measured in this same process so the
         // gate is host-speed independent.
-        let scalar = &runs[0];
         let batched = &runs[2];
-        let speedup = scalar.ns_per_bit / batched.ns_per_bit;
+        let speedup = batched.before_ns_per_bit / batched.ns_per_bit;
         assert!(
             speedup >= min_speedup,
             "batched raw path is only {speedup:.2}x scalar ({:.1} vs {:.1} ns/bit), \
              CI gate requires >= {min_speedup:.1}x",
             batched.ns_per_bit,
-            scalar.ns_per_bit
+            batched.before_ns_per_bit
         );
         println!("batched gate ok: {speedup:.2}x >= {min_speedup:.1}x over scalar");
     }
 
-    if let Some(min_speedup) = env_f64("TRNG_HOTPATH_GATE_MIN_SPEEDUP") {
+    if let Some(min_speedup) = env::<f64>("TRNG_HOTPATH_GATE_MIN_SPEEDUP") {
         assert!(
             gate_speedup >= min_speedup,
             "word-level 90B gate is only {gate_speedup:.2}x the per-bit gate \

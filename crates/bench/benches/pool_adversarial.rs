@@ -38,17 +38,11 @@ use trng_pool::{
     compile_campaign, onset_bytes, CoherenceConfig, Conditioning, EntropyPool, IncidentEvent,
     IncidentKind, MonitorConfig, PoolConfig, ProbeCode,
 };
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 
 const ONSET: Ps = Ps::from_us(300.0);
 const MONITOR_INTERVAL: u64 = 128;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Row {
     scenario: Scenario,
@@ -111,7 +105,7 @@ fn first_detection(journal: &[IncidentEvent], shard: usize) -> Option<IncidentEv
 }
 
 fn main() {
-    let total = env_usize("TRNG_ADVERSARIAL_BENCH_BYTES", 6 * 1024);
+    let total = env("TRNG_ADVERSARIAL_BENCH_BYTES").unwrap_or(6 * 1024);
     let base = TrngConfig::paper_k1();
     let onset = onset_bytes(ONSET, Conditioning::DesignXor, &base.design);
     println!(
@@ -218,8 +212,6 @@ fn main() {
         ),
         ("benchmarks", Json::Arr(benchmarks)),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_adversarial.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_adversarial.json");
+    let path = write_report("adversarial", &report).expect("write BENCH_adversarial.json");
     println!("\nwrote {}", path.display());
 }

@@ -30,14 +30,11 @@ use trng_pool::{
     compile_campaign, decode_coherence_detail, onset_bytes, CoherenceConfig, Conditioning,
     EntropyPool, IncidentKind, MonitorConfig, PoolConfig,
 };
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 
 const ONSET: Ps = Ps::from_us(300.0);
 const MONITOR_INTERVAL: u64 = 128;
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
 
 struct Row {
     name: &'static str,
@@ -71,8 +68,8 @@ fn rows() -> Vec<Row> {
 }
 
 fn main() {
-    let total = env_u64("TRNG_COHERENCE_BENCH_BYTES").unwrap_or(8192) as usize;
-    let gate_bits = env_u64("TRNG_COHERENCE_GATE_BITS");
+    let total = env("TRNG_COHERENCE_BENCH_BYTES").unwrap_or(8192);
+    let gate_bits = env::<u64>("TRNG_COHERENCE_GATE_BITS");
     let base = TrngConfig::paper_k1();
     let onset = onset_bytes(ONSET, Conditioning::DesignXor, &base.design);
     println!(
@@ -202,9 +199,7 @@ fn main() {
         ),
         ("benchmarks", Json::Arr(benchmarks)),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_coherence.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_coherence.json");
+    let path = write_report("coherence", &report).expect("write BENCH_coherence.json");
     println!("\nwrote {}", path.display());
 
     if !failures.is_empty() {

@@ -23,36 +23,15 @@
 use std::time::{Duration, Instant};
 
 use trng_core::trng::TrngConfig;
-use trng_model::params::{DesignParams, PlatformParams};
-use trng_pool::{Conditioning, EntropyPool, FaultInjection, PoolConfig, RespawnPolicy, ShardFault};
+use trng_pool::testing::dead_fault;
+use trng_pool::{Conditioning, EntropyPool, PoolConfig, RespawnPolicy};
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 
 const SHARDS: usize = 3;
 /// Per-shard healthy-byte offset at which the scripted kill fires —
 /// past the ring prefill, so the death lands mid-drain.
 const KILL_AT: u64 = 16 * 1024;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Drift-frozen, injection-locked configuration: a shard swapped onto
-/// it reliably trips the continuous tests.
-fn dead_config() -> TrngConfig {
-    let mut config = TrngConfig::ideal();
-    config.platform = PlatformParams::new(480.0, 17.0, 0.05).expect("valid");
-    config.design = DesignParams {
-        k: 4,
-        n_a: 1,
-        np: 1,
-        f_clk_hz: (1e12f64 / (21.0 * 480.0)).round() as u64,
-        ..DesignParams::paper_k4()
-    };
-    config
-}
 
 fn base_config() -> PoolConfig {
     PoolConfig::new(TrngConfig::paper_k1(), SHARDS)
@@ -61,12 +40,7 @@ fn base_config() -> PoolConfig {
 }
 
 fn kill_shard_1(config: PoolConfig) -> PoolConfig {
-    config.with_fault(FaultInjection {
-        shard: 1,
-        after_bytes: KILL_AT,
-        fault: ShardFault::Config(Box::new(dead_config())),
-        transient: false,
-    })
+    config.with_fault(dead_fault(1, KILL_AT, false))
 }
 
 /// Fills `total` bytes through the threaded backend and returns
@@ -83,7 +57,7 @@ fn run(config: PoolConfig, total: usize) -> (f64, trng_pool::PoolStats) {
 }
 
 fn main() {
-    let total = env_usize("TRNG_ELASTIC_BENCH_BYTES", 256 * 1024);
+    let total = env("TRNG_ELASTIC_BENCH_BYTES").unwrap_or(256 * 1024);
     println!(
         "pool_elastic: {total} bytes per scenario, {SHARDS}-shard threaded pool, \
          kill at {KILL_AT} healthy bytes on shard 1\n"
@@ -161,8 +135,6 @@ fn main() {
             ]),
         ),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_elastic.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_elastic.json");
+    let path = write_report("elastic", &report).expect("write BENCH_elastic.json");
     println!("\nwrote {}", path.display());
 }

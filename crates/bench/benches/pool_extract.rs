@@ -28,6 +28,7 @@ use trng_core::trng::TrngConfig;
 use trng_pool::{
     ComposedExtract, ComposedStats, Conditioning, EntropyPool, NoiseBackend, PoolConfig,
 };
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 
 const SEED: u64 = 0x5EED7;
@@ -42,20 +43,6 @@ struct Run {
     wall_mbps: f64,
     sim_mbps: f64,
     composed: Option<ComposedStats>,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn run_one(
@@ -100,8 +87,8 @@ fn run_one(
 }
 
 fn main() {
-    let bytes = env_usize("TRNG_EXTRACT_BENCH_BYTES", 16 * 1024);
-    let gate = env_f64("TRNG_EXTRACT_GATE_RATIO", 2.0);
+    let bytes = env("TRNG_EXTRACT_BENCH_BYTES").unwrap_or(16 * 1024);
+    let gate = env("TRNG_EXTRACT_GATE_RATIO").unwrap_or(2.0);
     println!("pool_extract: {bytes} bytes per configuration, 2 shards, batched noise\n");
 
     let claim = trng_core::selftest::claimed_min_entropy(&TrngConfig::paper_k1())
@@ -173,9 +160,7 @@ fn main() {
         ),
         ("benchmarks", Json::Arr(benchmarks)),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_extract.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_extract.json");
+    let path = write_report("extract", &report).expect("write BENCH_extract.json");
     println!("\nwrote {}", path.display());
 
     // Regression gate: Toeplitz must stay within `gate`x of the

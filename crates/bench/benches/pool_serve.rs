@@ -19,18 +19,12 @@ use std::time::{Duration, Instant};
 use trng_core::trng::TrngConfig;
 use trng_pool::{Conditioning, EntropyPool, PoolConfig};
 use trng_serve::{Client, ServeConfig, Server};
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 16];
 const SHARDS: usize = 2;
 const CHUNK: u32 = 16 * 1024;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn online_pool() -> EntropyPool {
     let config = PoolConfig::new(TrngConfig::paper_k1(), SHARDS)
@@ -89,7 +83,7 @@ fn run_served(clients: usize, total: usize) -> f64 {
 }
 
 fn main() {
-    let total = env_usize("TRNG_SERVE_BENCH_BYTES", 192 * 1024);
+    let total = env("TRNG_SERVE_BENCH_BYTES").unwrap_or(192 * 1024);
     println!(
         "pool_serve: {total} bytes per scenario, {SHARDS}-shard threaded pool, raw conditioning\n"
     );
@@ -135,8 +129,6 @@ fn main() {
         ),
         ("benchmarks", Json::Arr(benchmarks)),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_serve.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_serve.json");
+    let path = write_report("serve", &report).expect("write BENCH_serve.json");
     println!("\nwrote {}", path.display());
 }

@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use trng_core::trng::TrngConfig;
 use trng_pool::{Conditioning, DualOscConfig, EntropyPool, PoolConfig, RecordedTrace, SourceSpec};
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 
 const SEED: u64 = 0x5EED5;
@@ -32,13 +33,6 @@ struct Run {
     ns_per_bit: f64,
     wall_mbps: f64,
     sim_mbps: f64,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn record_trace() -> Arc<RecordedTrace> {
@@ -79,7 +73,7 @@ fn run_one(name: &'static str, specs: Vec<SourceSpec>, bytes: usize) -> Run {
 }
 
 fn main() {
-    let bytes = env_usize("TRNG_SOURCES_BENCH_BYTES", 16 * 1024);
+    let bytes = env("TRNG_SOURCES_BENCH_BYTES").unwrap_or(16 * 1024);
     println!("pool_sources: {bytes} bytes per configuration, design-rate XOR\n");
 
     let runs = [
@@ -153,9 +147,7 @@ fn main() {
         ),
         ("benchmarks", Json::Arr(benchmarks)),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_sources.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_sources.json");
+    let path = write_report("sources", &report).expect("write BENCH_sources.json");
     println!("\nwrote {}", path.display());
 
     // Sanity: every backend served its full volume, and the OS-backed

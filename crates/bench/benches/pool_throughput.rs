@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use trng_core::trng::TrngConfig;
 use trng_pool::{Conditioning, EntropyPool, NoiseBackend, PoolConfig};
+use trng_testkit::bench::{env, write_report};
 use trng_testkit::json::Json;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -34,13 +35,6 @@ struct Run {
     wall: Duration,
     wall_mbps: f64,
     sim_mbps: f64,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn run_one(shards: usize, backend: NoiseBackend, bytes: usize) -> Run {
@@ -74,7 +68,7 @@ fn run_one(shards: usize, backend: NoiseBackend, bytes: usize) -> Run {
 }
 
 fn main() {
-    let bytes = env_usize("TRNG_POOL_BENCH_BYTES", 16 * 1024);
+    let bytes = env("TRNG_POOL_BENCH_BYTES").unwrap_or(16 * 1024);
     println!("pool_throughput: {bytes} bytes per configuration, design-rate XOR\n");
 
     let runs: Vec<Run> = [NoiseBackend::Scalar, NoiseBackend::Batched]
@@ -147,9 +141,7 @@ fn main() {
         ),
         ("benchmarks", Json::Arr(benchmarks)),
     ]);
-    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_pool.json");
-    std::fs::write(&path, report.to_string_pretty()).expect("write BENCH_pool.json");
+    let path = write_report("pool", &report).expect("write BENCH_pool.json");
     println!("\nwrote {}", path.display());
 
     for backend in [NoiseBackend::Scalar, NoiseBackend::Batched] {

@@ -62,9 +62,7 @@ pub use restart::RestartMatrix;
 pub use rng_adapter::TrngRng;
 pub use rtl::{extract_packed, PackedWord};
 pub use self_timed::{SelfTimedConfig, SelfTimedTrng};
-pub use selftest::{
-    claimed_min_entropy, run_startup_test, SelfTestError, SelfTestingTrng, StartupReport,
-};
+pub use selftest::{claimed_min_entropy, run_startup_test, StartupReport};
 pub use snippet::{Snippet, SnippetKind};
 pub use trng::{BuildTrngError, CarryChainTrng, TrngConfig, TrngStats};
 pub use von_neumann::VonNeumann;
@@ -82,7 +80,6 @@ mod thread_safety {
         assert_send::<crate::trng::CarryChainTrng>();
         assert_sync::<crate::trng::CarryChainTrng>();
         assert_send::<crate::elementary::ElementaryTrng>();
-        assert_send::<crate::selftest::SelfTestingTrng>();
         assert_send::<crate::rng_adapter::TrngRng>();
         assert_send::<crate::restart::RestartMatrix>();
     }

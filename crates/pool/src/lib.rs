@@ -76,6 +76,7 @@ pub mod pool;
 pub mod ring;
 pub mod shard;
 pub mod stats;
+pub mod testing;
 
 pub use campaign::{compile_campaign, compile_common_mode, onset_bytes};
 pub use coherence::{

@@ -1441,21 +1441,8 @@ fn worker(mut shard: Shard, producer: ring::Producer, stop: Arc<AtomicBool>, blo
 mod tests {
     use super::*;
     use crate::shard::ShardFault;
+    use crate::testing::dead_fault;
     use trng_core::trng::TrngConfig;
-    use trng_model::params::{DesignParams, PlatformParams};
-
-    fn dead_config() -> TrngConfig {
-        let mut config = TrngConfig::ideal();
-        config.platform = PlatformParams::new(480.0, 17.0, 0.05).expect("valid");
-        config.design = DesignParams {
-            k: 4,
-            n_a: 1,
-            np: 1,
-            f_clk_hz: (1e12f64 / (21.0 * 480.0)).round() as u64,
-            ..DesignParams::paper_k4()
-        };
-        config
-    }
 
     fn small_pool(shards: usize) -> PoolConfig {
         PoolConfig::new(TrngConfig::paper_k1(), shards)
@@ -1544,12 +1531,7 @@ mod tests {
         let config = PoolConfig::new(TrngConfig::paper_k1(), 1)
             .with_seed(5)
             .with_max_readmissions(0)
-            .with_fault(FaultInjection {
-                shard: 0,
-                after_bytes: 0,
-                fault: ShardFault::Config(Box::new(dead_config())),
-                transient: false,
-            })
+            .with_fault(dead_fault(0, 0, false))
             .with_respawn(RespawnPolicy::new(1, 1).with_backoff(Duration::from_secs(600)));
         let mut pool = EntropyPool::new(config).expect("pool");
         let timeout = Duration::from_millis(200);
@@ -1614,12 +1596,8 @@ mod tests {
 
     #[test]
     fn exhaustion_is_a_typed_error_not_biased_bytes() {
-        let fault = FaultInjection {
-            shard: 0,
-            after_bytes: 256,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false, // persistent: re-admission fails, shard retires
-        };
+        // Persistent: re-admission fails, the shard retires.
+        let fault = dead_fault(0, 256, false);
         let config = small_pool(1).with_fault(fault).with_max_readmissions(1);
         let mut pool = EntropyPool::new(config).expect("pool");
         let mut sink = vec![0u8; 1 << 20];
@@ -1647,12 +1625,7 @@ mod tests {
 
     #[test]
     fn out_of_range_fault_is_rejected() {
-        let fault = FaultInjection {
-            shard: 5,
-            after_bytes: 0,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: true,
-        };
+        let fault = dead_fault(5, 0, true);
         match EntropyPool::new(small_pool(2).with_fault(fault)) {
             Err(PoolError::InvalidConfig(why)) => assert!(why.contains("shard 5")),
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
@@ -1682,12 +1655,7 @@ mod tests {
     fn respawn_heals_a_persistent_shard_death() {
         // Shard 0 dies persistently; with one respawn in the budget the
         // pool replaces it on a fresh placement and serves on.
-        let fault = FaultInjection {
-            shard: 0,
-            after_bytes: 128,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false,
-        };
+        let fault = dead_fault(0, 128, false);
         let config = small_pool(2)
             .with_fault(fault)
             .with_max_readmissions(1)
@@ -1729,21 +1697,10 @@ mod tests {
         // Persistent faults kill the original shard *and* its
         // replacement; once the budget is spent the pool must fail
         // with the typed error, with both attempts in the journal.
-        let dead = || ShardFault::Config(Box::new(dead_config()));
         let config = small_pool(1)
             .with_max_readmissions(0)
-            .with_fault(FaultInjection {
-                shard: 0,
-                after_bytes: 0,
-                fault: dead(),
-                transient: false,
-            })
-            .with_fault(FaultInjection {
-                shard: 1, // the replacement's index
-                after_bytes: 0,
-                fault: dead(),
-                transient: false,
-            })
+            .with_fault(dead_fault(0, 0, false))
+            .with_fault(dead_fault(1, 0, false)) // the replacement's index
             .with_respawn(RespawnPolicy::new(1, 1));
         let mut pool = EntropyPool::new(config).expect("pool");
         let mut sink = vec![0u8; 1 << 16];
@@ -1775,12 +1732,7 @@ mod tests {
 
     #[test]
     fn fault_may_target_replacement_indices_only_with_policy() {
-        let fault = || FaultInjection {
-            shard: 2,
-            after_bytes: 0,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false,
-        };
+        let fault = || dead_fault(2, 0, false);
         assert!(matches!(
             EntropyPool::new(small_pool(2).with_fault(fault())),
             Err(PoolError::InvalidConfig(_))
@@ -2051,12 +2003,7 @@ mod tests {
 
     #[test]
     fn composed_exhaustion_keeps_the_partial_prefix_contract() {
-        let fault = FaultInjection {
-            shard: 0,
-            after_bytes: 4096,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false,
-        };
+        let fault = dead_fault(0, 4096, false);
         let config = small_pool(1)
             .with_conditioning(Conditioning::Raw)
             .with_composed_extract(ComposedExtract::new(32, 3))

@@ -3,9 +3,9 @@
 //! state machine of [`ShardState`].
 //!
 //! A shard only contributes bytes while `Online`. Admission (and
-//! *re*-admission after a quarantine) is gated by the same start-up
-//! self-test a [`SelfTestingTrng`](trng_core::selftest::SelfTestingTrng)
-//! runs; while online, every raw bit feeds the SP 800-90B continuous
+//! *re*-admission after a quarantine) is gated by the AIS-31-style
+//! start-up self-test ([`run_source_startup`], the backend-agnostic form
+//! of [`trng_core::selftest::run_startup_test`]); while online, every raw bit feeds the SP 800-90B continuous
 //! tests *before* it may enter the conditioning stage, and a block is
 //! only released to the pool once every bit in it passed. An alarm
 //! therefore discards the whole in-flight block — no byte derived from
@@ -662,8 +662,8 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{dead_config, dead_fault};
     use trng_core::trng::TrngConfig;
-    use trng_model::params::{DesignParams, PlatformParams};
     use trng_sources::CarryChainSource;
 
     fn shared() -> Arc<ShardShared> {
@@ -676,23 +676,6 @@ mod tests {
 
     fn src(config: TrngConfig, seed: u64) -> Box<dyn EntropySource> {
         Box::new(CarryChainSource::new(config, seed).expect("build"))
-    }
-
-    /// A configuration whose raw stream is (near-)frozen: drift-free
-    /// sampling plus an overwhelming injection-locking attack. Startup
-    /// reliably fails on it, and a healthy shard swapped onto it
-    /// reliably alarms (same construction as the selftest tests).
-    fn dead_config() -> TrngConfig {
-        let mut config = TrngConfig::ideal();
-        config.platform = PlatformParams::new(480.0, 17.0, 0.05).expect("valid");
-        config.design = DesignParams {
-            k: 4,
-            n_a: 1,
-            np: 1,
-            f_clk_hz: (1e12f64 / (21.0 * 480.0)).round() as u64,
-            ..DesignParams::paper_k4()
-        };
-        config
     }
 
     #[test]
@@ -755,12 +738,7 @@ mod tests {
     fn transient_fault_quarantines_then_readmits() {
         let s = shared();
         let j = journal();
-        let fault = FaultInjection {
-            shard: 0,
-            after_bytes: 128,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: true,
-        };
+        let fault = dead_fault(0, 128, true);
         let mut shard = Shard::new(
             0,
             src(TrngConfig::paper_k1(), 42),
@@ -819,12 +797,7 @@ mod tests {
     #[test]
     fn persistent_fault_retires_at_readmission() {
         let s = shared();
-        let fault = FaultInjection {
-            shard: 0,
-            after_bytes: 0,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false,
-        };
+        let fault = dead_fault(0, 0, false);
         let j = journal();
         let mut shard = Shard::new(
             0,
@@ -862,12 +835,7 @@ mod tests {
     #[test]
     fn alarm_budget_exhaustion_retires_without_retest() {
         let s = shared();
-        let fault = FaultInjection {
-            shard: 0,
-            after_bytes: 0,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false,
-        };
+        let fault = dead_fault(0, 0, false);
         // Zero re-admissions allowed: first alarm retires outright.
         let mut shard = Shard::new(
             0,
@@ -893,12 +861,7 @@ mod tests {
         // fires at its own offset.
         let s = shared();
         let j = journal();
-        let mk_fault = |after_bytes| FaultInjection {
-            shard: 0,
-            after_bytes,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: true,
-        };
+        let mk_fault = |after_bytes| dead_fault(0, after_bytes, true);
         let mut shard = Shard::new(
             0,
             src(TrngConfig::paper_k1(), 42),
@@ -981,12 +944,7 @@ mod tests {
             trng_sources::RecordedTrace::record(&TrngConfig::paper_k1(), 3, 2048).expect("capture"),
         );
         let s = shared();
-        let fault = FaultInjection {
-            shard: 0,
-            after_bytes: 0,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: true,
-        };
+        let fault = dead_fault(0, 0, true);
         let mut shard = Shard::new(
             0,
             Box::new(trng_sources::TraceReplaySource::new(trace).expect("valid")),

@@ -96,7 +96,9 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame.
+/// Writes one frame in a single write: header and payload leave
+/// together, so a `TCP_NODELAY` socket sends them as one segment and
+/// the reader wakes once per frame.
 ///
 /// # Errors
 ///
@@ -109,11 +111,11 @@ pub fn write_frame(w: &mut impl Write, kind: FrameType, payload: &[u8]) -> io::R
             format!("frame payload {} exceeds protocol bound", payload.len()),
         ));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = kind.as_u8();
-    header[1..].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.push(kind.as_u8());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -151,22 +153,10 @@ pub fn read_frame(r: &mut impl Read, max_payload: u32) -> io::Result<Option<Fram
             Err(e) => return Err(e),
         }
     }
-    read_frame_after_tag(r, tag[0], max_payload).map(Some)
-}
-
-/// Reads the remainder of a frame whose tag byte was already
-/// consumed — the shape a polling server loop needs (it probes for
-/// the tag byte under a short read-timeout, then commits to the
-/// frame).
-///
-/// # Errors
-///
-/// As [`read_frame`].
-pub fn read_frame_after_tag(r: &mut impl Read, tag: u8, max_payload: u32) -> io::Result<Frame> {
-    let kind = FrameType::from_u8(tag).ok_or_else(|| {
+    let kind = FrameType::from_u8(tag[0]).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("unknown frame tag {tag:#04x}"),
+            format!("unknown frame tag {:#04x}", tag[0]),
         )
     })?;
     let mut len = [0u8; 4];
@@ -181,7 +171,7 @@ pub fn read_frame_after_tag(r: &mut impl Read, tag: u8, max_payload: u32) -> io:
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    Ok(Frame { kind, payload })
+    Ok(Some(Frame { kind, payload }))
 }
 
 #[cfg(test)]
@@ -248,6 +238,42 @@ mod tests {
         wire.truncate(wire.len() - 2);
         let err = read_frame(&mut Cursor::new(wire), 1024).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// Counts the write calls a frame costs.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, FrameType::Ok, b"entropy").unwrap();
+        assert_eq!(w.writes, 1, "header and payload must leave together");
+        write_req(&mut w, 4096).unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = Cursor::new(w.bytes);
+        let ok = read_frame(&mut r, MAX_FRAME_PAYLOAD).unwrap().unwrap();
+        assert_eq!(
+            (ok.kind, ok.payload.as_slice()),
+            (FrameType::Ok, &b"entropy"[..])
+        );
+        let req = read_frame(&mut r, MAX_FRAME_PAYLOAD).unwrap().unwrap();
+        assert_eq!(parse_req(&req.payload), Some(4096));
     }
 
     #[test]

@@ -44,7 +44,9 @@ use std::time::{Duration, Instant};
 use trng_pool::{PoolError, PoolHandle};
 use trng_testkit::json::Json;
 
-use crate::protocol::{parse_req, read_frame_after_tag, write_frame, FrameType, MAX_FRAME_PAYLOAD};
+use crate::protocol::{
+    parse_req, read_frame, write_frame, FrameType, HEADER_LEN, MAX_FRAME_PAYLOAD,
+};
 use crate::quota::{QuotaConfig, TokenBucket};
 
 /// How often an idle connection's read loop re-checks the shutdown
@@ -556,6 +558,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     if stream.set_write_timeout(Some(shared.io_timeout)).is_err() {
         return;
     }
+    // The short poll timeout stays set between requests; only a frame
+    // that arrives in pieces switches to the I/O timeout (`next_request`).
+    if stream.set_read_timeout(Some(POLL)).is_err() {
+        return;
+    }
     let mut stream = stream;
     let mut bucket = shared
         .quota
@@ -563,38 +570,17 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         .map(|q| TokenBucket::new(q, Instant::now()));
 
     loop {
-        let tag = match poll_tag_byte(shared, &mut stream) {
-            Some(tag) => tag,
+        let n = match next_request(shared, &mut stream) {
+            Some(Ok(n)) => n,
+            Some(Err(diagnostic)) => {
+                shared
+                    .counters
+                    .requests_rejected
+                    .fetch_add(1, Ordering::Relaxed);
+                let _ = write_frame(&mut stream, FrameType::ErrProtocol, diagnostic);
+                return;
+            }
             None => return, // EOF, I/O failure, or draining
-        };
-        if stream.set_read_timeout(Some(shared.io_timeout)).is_err() {
-            return;
-        }
-        let frame = match read_frame_after_tag(&mut stream, tag, MAX_FRAME_PAYLOAD) {
-            Ok(frame) => frame,
-            Err(_) => {
-                shared
-                    .counters
-                    .requests_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(&mut stream, FrameType::ErrProtocol, b"malformed frame");
-                return;
-            }
-        };
-        let n = match (frame.kind, parse_req(&frame.payload)) {
-            (FrameType::Req, Some(n)) => n,
-            _ => {
-                shared
-                    .counters
-                    .requests_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
-                    &mut stream,
-                    FrameType::ErrProtocol,
-                    b"expected a REQ frame with a 4-byte count",
-                );
-                return;
-            }
         };
         if !serve_request(shared, &mut stream, bucket.as_mut(), n) {
             return;
@@ -698,21 +684,27 @@ fn clamp_to_drain(shared: &Shared, want: Duration) -> Duration {
     }
 }
 
-/// Polls for the next frame's tag byte under a short read-timeout.
-/// Returns `None` on clean EOF, an unrecoverable I/O error, or when
-/// the server starts draining (no *new* request may begin).
-fn poll_tag_byte(shared: &Shared, stream: &mut TcpStream) -> Option<u8> {
-    let mut tag = [0u8; 1];
-    loop {
+/// Bytes of a `REQ` frame: the header plus its 4-byte count.
+const REQ_FRAME_LEN: usize = HEADER_LEN + 4;
+
+/// Waits for the next request under the [`POLL`] read timeout and
+/// returns its byte count, or the diagnostic to reject it with.
+///
+/// A `REQ` frame that has arrived whole is taken in one read, which
+/// never reaches past its 9 bytes (a pipelined next request stays
+/// queued). A frame arriving in pieces falls back to a committed read
+/// of its rest under the I/O timeout. Returns `None` on clean EOF, an
+/// unrecoverable I/O error, or when the server starts draining (no
+/// *new* request may begin).
+fn next_request(shared: &Shared, stream: &mut TcpStream) -> Option<Result<u32, &'static [u8]>> {
+    let mut head = [0u8; REQ_FRAME_LEN];
+    let got = loop {
         if shared.draining() {
             return None;
         }
-        if stream.set_read_timeout(Some(POLL)).is_err() {
-            return None;
-        }
-        match stream.read(&mut tag) {
+        match stream.read(&mut head) {
             Ok(0) => return None,
-            Ok(_) => return Some(tag[0]),
+            Ok(got) => break got,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut
@@ -722,7 +714,22 @@ fn poll_tag_byte(shared: &Shared, stream: &mut TcpStream) -> Option<u8> {
             }
             Err(_) => return None,
         }
+    };
+    let committed = got < REQ_FRAME_LEN;
+    if committed && stream.set_read_timeout(Some(shared.io_timeout)).is_err() {
+        return None;
     }
+    let frame = read_frame(&mut (&head[..got]).chain(&mut *stream), MAX_FRAME_PAYLOAD);
+    if committed && stream.set_read_timeout(Some(POLL)).is_err() {
+        return None;
+    }
+    Some(match frame {
+        Ok(Some(frame)) => match (frame.kind, parse_req(&frame.payload)) {
+            (FrameType::Req, Some(n)) => Ok(n),
+            _ => Err(b"expected a REQ frame with a 4-byte count"),
+        },
+        _ => Err(b"malformed frame"),
+    })
 }
 
 fn metrics_loop(shared: &Shared, listener: &TcpListener) {

@@ -34,11 +34,23 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads a bench knob from the environment: `None` when unset or
+/// unparsable.
+pub fn env<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.parse().ok()
+}
+
+/// Writes `report` as `BENCH_<stem>.json` into `TRNG_BENCH_OUT_DIR`
+/// (default: the working directory) and returns the file's path.
+///
+/// # Errors
+///
+/// The I/O error of the write.
+pub fn write_report(stem: &str, report: &Json) -> std::io::Result<std::path::PathBuf> {
+    let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
+    let path = std::path::Path::new(&dir).join(format!("BENCH_{stem}.json"));
+    std::fs::write(&path, report.to_string_pretty())?;
+    Ok(path)
 }
 
 /// Benchmark identifier: a function name plus an optional parameter.
@@ -181,8 +193,8 @@ pub struct Bencher {
 impl Bencher {
     /// Times `routine`, batching iterations into samples.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        let warmup = Duration::from_millis(env_u64("TRNG_BENCH_WARMUP_MS", 50));
-        let sample_target = Duration::from_millis(env_u64("TRNG_BENCH_SAMPLE_MS", 2));
+        let warmup = Duration::from_millis(env("TRNG_BENCH_WARMUP_MS").unwrap_or(50));
+        let sample_target = Duration::from_millis(env("TRNG_BENCH_SAMPLE_MS").unwrap_or(2));
 
         // Warmup: run until the warmup budget elapses, estimating the
         // per-iteration cost as we go.
@@ -337,7 +349,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             throughput: None,
-            sample_size: env_u64("TRNG_BENCH_SAMPLES", 20) as usize,
+            sample_size: env("TRNG_BENCH_SAMPLES").unwrap_or(20),
             records: Vec::new(),
             criterion: self,
         }
@@ -367,14 +379,12 @@ impl Criterion {
                 Json::Arr(records.iter().map(BenchRecord::to_json).collect()),
             ),
         ]);
-        let dir = std::env::var("TRNG_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
         let safe: String = group
             .chars()
             .map(|c| if c.is_alphanumeric() { c } else { '_' })
             .collect();
-        let path = std::path::Path::new(&dir).join(format!("BENCH_{safe}.json"));
-        if let Err(e) = std::fs::write(&path, report.to_string_pretty()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
+        if let Err(e) = write_report(&safe, &report) {
+            eprintln!("warning: could not write BENCH_{safe}.json: {e}");
         }
     }
 

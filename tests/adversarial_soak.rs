@@ -29,10 +29,10 @@
 
 use std::time::Duration;
 
-use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::TrngConfig;
 use trng_fpga_sim::scenario::Scenario;
 use trng_fpga_sim::time::Ps;
+use trng_pool::testing::{assert_stream_health_clean, assert_unbiased};
 use trng_pool::{
     compile_campaign, decode_coherence_detail, onset_bytes, CoherenceConfig, CoherenceResponse,
     Conditioning, EntropyPool, IncidentEvent, IncidentKind, MonitorConfig, PoolConfig, ProbeCode,
@@ -166,31 +166,6 @@ fn pool_for(cell: &Cell, seed: u64) -> EntropyPool {
     EntropyPool::new(config).expect("pool")
 }
 
-/// Replays the delivered bytes through a fresh continuous-test gate.
-/// The ones-fraction check only applies to unbiased (XOR-conditioned)
-/// streams — raw packing keeps the source's inherent bias.
-fn assert_stream_health_clean(bytes: &[u8], check_bias: bool) {
-    let mut gate = OnlineHealth::new(0.5);
-    let mut ones = 0u64;
-    for &byte in bytes {
-        for bit in (0..8).rev().map(|i| byte >> i & 1 == 1) {
-            ones += u64::from(bit);
-            assert_eq!(
-                gate.push(bit),
-                HealthStatus::Ok,
-                "delivered stream alarmed the continuous tests"
-            );
-        }
-    }
-    if check_bias {
-        let frac = ones as f64 / (bytes.len() as f64 * 8.0);
-        assert!(
-            (frac - 0.5).abs() < 0.015,
-            "delivered stream is biased: ones fraction {frac}"
-        );
-    }
-}
-
 /// First journal event of `kind` on the given shard.
 fn first_event(
     events: &[IncidentEvent],
@@ -238,11 +213,14 @@ fn chaos_matrix_fires_the_right_gate_first_and_never_taints_the_stream() {
         let mut delivered = vec![0u8; cell.fill];
         pool.fill_bytes(&mut delivered)
             .unwrap_or_else(|e| panic!("{name}: fill failed: {e}"));
-        assert_stream_health_clean(
-            &delivered,
-            matches!(cell.conditioning, Conditioning::DesignXor)
-                && cell.expected == Expected::Undetected,
-        );
+        assert_stream_health_clean(&delivered);
+        // Raw packing keeps the source's bias; only an undetected
+        // design-XOR run must stay balanced.
+        if matches!(cell.conditioning, Conditioning::DesignXor)
+            && cell.expected == Expected::Undetected
+        {
+            assert_unbiased(&delivered);
+        }
 
         let stats = pool.stats();
         let target = cell.targets[0];
@@ -307,6 +285,54 @@ fn chaos_matrix_fires_the_right_gate_first_and_never_taints_the_stream() {
             );
         }
     }
+
+    // Two campaigns in one pool: locking on shard 0, a thermal runaway
+    // on shard 1. Each shard's detectors tell their own story — the
+    // monitor alone on the locked shard; monitor, then the 90B alarm
+    // and retirement on the runaway one.
+    let base = TrngConfig::paper_k1();
+    let onset = onset_bytes(ONSET, Conditioning::DesignXor, &base.design);
+    let locking = Scenario::injection_locking(ONSET, 1e12 / 480.0, 0.85);
+    let campaign = |scenario: &Scenario, shard: usize| {
+        compile_campaign(
+            scenario,
+            Conditioning::DesignXor,
+            &base.design,
+            &[shard],
+            false,
+        )
+    };
+    let mut faults = campaign(&locking, 0);
+    faults.extend(campaign(&thermal_runaway(ONSET), 1));
+    let config = PoolConfig::new(base, 2)
+        .with_conditioning(Conditioning::DesignXor)
+        .with_seed(0xAD5A)
+        .with_block_bytes(64)
+        .with_faults(faults)
+        .with_monitor(monitor_for(Conditioning::DesignXor))
+        .deterministic(true);
+    let mut pool = EntropyPool::new(config).expect("pool");
+    pool.wait_online(Duration::from_secs(60))
+        .expect("admission");
+    let mut delivered = vec![0u8; 4096];
+    pool.fill_bytes(&mut delivered).expect("fill");
+    assert_stream_health_clean(&delivered);
+    let stats = pool.stats();
+    let locked = first_event(&stats.journal, 0, IncidentKind::JitterDrift)
+        .expect("locking campaign never tripped the monitor");
+    assert!(locked.at_bytes >= onset, "drift precedes onset {onset}");
+    let drift = first_event(&stats.journal, 1, IncidentKind::JitterDrift)
+        .expect("runaway never tripped the monitor");
+    let alarm = first_event(&stats.journal, 1, IncidentKind::Alarm)
+        .expect("runaway never tripped the 90B gate");
+    assert!(
+        drift.seq < alarm.seq,
+        "the 90B alarm pre-empted the monitor"
+    );
+    assert_eq!(stats.shards[1].state, ShardState::Retired);
+    for s in &stats.shards {
+        assert!(s.monitor_measurements > 0, "monitor never ran on {}", s.id);
+    }
 }
 
 #[test]
@@ -347,9 +373,14 @@ fn chaos_cells_replay_byte_identically() {
     }
 }
 
-/// A 2-shard pool with the coherence detector on, running the cell's
-/// scenario against `targets`.
-fn coherence_pool(targets: &[usize], coherence: CoherenceConfig, seed: u64) -> EntropyPool {
+/// A pool of `shards` with the coherence detector on, running the
+/// shared supply tone against `targets`.
+fn coherence_pool(
+    shards: usize,
+    targets: &[usize],
+    coherence: CoherenceConfig,
+    seed: u64,
+) -> EntropyPool {
     let base = TrngConfig::paper_k1();
     let scenario = Scenario::shared_supply_tone(ONSET, 5e6, 0.004);
     let faults = compile_campaign(
@@ -359,7 +390,7 @@ fn coherence_pool(targets: &[usize], coherence: CoherenceConfig, seed: u64) -> E
         targets,
         true,
     );
-    let config = PoolConfig::new(base, 2)
+    let config = PoolConfig::new(base, shards)
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(seed)
         .with_block_bytes(64)
@@ -375,85 +406,93 @@ fn coherence_detector_catches_the_shared_tone_the_gates_miss() {
     // The exact matrix cell documented as Undetected above — same
     // scenario, same amplitude, same conditioning — with the
     // cross-shard detector enabled. The per-shard gates must stay as
-    // blind as ever; the quorum rule must fire.
-    let mut pool = coherence_pool(&[0, 1], CoherenceConfig::new(), 0xAD5A);
-    let mut delivered = vec![0u8; 8192];
-    pool.fill_bytes(&mut delivered).expect("fill");
-    assert_stream_health_clean(&delivered, true);
-
-    let stats = pool.stats();
+    // blind as ever; the quorum rule must fire: 2 of 2 shards, and 2
+    // of 3 with the third shard left out of the quorum mask.
     let onset = onset_bytes(
         ONSET,
         Conditioning::DesignXor,
         &TrngConfig::paper_k1().design,
     );
-    for shard in 0..2 {
-        assert!(first_event(&stats.journal, shard, IncidentKind::Alarm).is_none());
-        assert!(first_event(&stats.journal, shard, IncidentKind::JitterDrift).is_none());
+    for (shards, seed, fill) in [(2, 0xAD5A, 8192), (3, 0xC0_4E, 12288)] {
+        let mut pool = coherence_pool(shards, &[0, 1], CoherenceConfig::new(), seed);
+        let mut delivered = vec![0u8; fill];
+        pool.fill_bytes(&mut delivered).expect("fill");
+        assert_stream_health_clean(&delivered);
+        assert_unbiased(&delivered);
+
+        let stats = pool.stats();
+        for shard in 0..shards {
+            assert!(first_event(&stats.journal, shard, IncidentKind::Alarm).is_none());
+            assert!(first_event(&stats.journal, shard, IncidentKind::JitterDrift).is_none());
+        }
+        let event = stats
+            .journal
+            .iter()
+            .find(|e| e.kind == IncidentKind::CommonModeCoherence)
+            .expect("the shared tone must trip the coherence quorum");
+        // Journaled against the lowest-indexed quorum shard, after
+        // onset, within a bounded detection latency (window x interval
+        // plus one partially-filled window of slack).
+        assert_eq!(event.shard, 0);
+        assert!(
+            event.at_bytes >= onset,
+            "event at {} < onset {onset}",
+            event.at_bytes
+        );
+        assert!(
+            event.at_bytes - onset <= 2560,
+            "detection latency {} bytes exceeds 2560",
+            event.at_bytes - onset
+        );
+        // The packed detail decodes: coherence probe code, the aliased
+        // 5 MHz line (bin 6.4 of a 16-sample window at 71.68 us
+        // spacing, so bin 6 or 7), exactly the two toned shards in the
+        // quorum mask, and a magnitude in the right ballpark for a
+        // 0.4 % (4000 ppm) tone.
+        assert_eq!(
+            ProbeCode::from_detail(event.detail),
+            Some(ProbeCode::Coherence)
+        );
+        let (bin, mask, permille) =
+            decode_coherence_detail(event.detail).expect("coherence detail");
+        assert!((5..=7).contains(&bin), "aliased tone line at bin {bin}");
+        assert_eq!(mask, 0b011, "quorum mask {mask:#b}");
+        assert!((2..=6).contains(&permille), "magnitude {permille} permille");
+        // Surfaced through stats (and therefore serve metrics).
+        let c = stats.coherence.as_ref().expect("coherence stats");
+        assert!(c.events >= 1);
+        assert!(c.passes > c.events);
+        assert_eq!(c.bins.len(), c.magnitudes_ppm.len());
+        let peak = c.magnitudes_ppm.iter().cloned().fold(0.0_f64, f64::max);
+        assert!(peak > 2000.0, "peak line magnitude {peak} ppm too small");
     }
-    let event = stats
-        .journal
-        .iter()
-        .find(|e| e.kind == IncidentKind::CommonModeCoherence)
-        .expect("the shared tone must trip the coherence quorum");
-    // Journaled against the lowest-indexed quorum shard, after onset,
-    // within a bounded detection latency (window x interval plus one
-    // partially-filled window of slack).
-    assert_eq!(event.shard, 0);
-    assert!(
-        event.at_bytes >= onset,
-        "event at {} < onset {onset}",
-        event.at_bytes
-    );
-    assert!(
-        event.at_bytes - onset <= 2560,
-        "detection latency {} bytes exceeds 2560",
-        event.at_bytes - onset
-    );
-    // The packed detail decodes: coherence probe code, the aliased
-    // 5 MHz line (bin 6.4 of a 16-sample window at 71.68 us spacing,
-    // so bin 6 or 7), both shards in the quorum mask, and a magnitude
-    // in the right ballpark for a 0.4 % (4000 ppm) tone.
-    assert_eq!(
-        ProbeCode::from_detail(event.detail),
-        Some(ProbeCode::Coherence)
-    );
-    let (bin, mask, permille) = decode_coherence_detail(event.detail).expect("coherence detail");
-    assert!((5..=7).contains(&bin), "aliased tone line at bin {bin}");
-    assert_eq!(mask & 0b11, 0b11, "both shards in quorum mask {mask:#b}");
-    assert!((2..=6).contains(&permille), "magnitude {permille} permille");
-    // Surfaced through stats (and therefore serve metrics).
-    let c = stats.coherence.as_ref().expect("coherence stats");
-    assert!(c.events >= 1);
-    assert!(c.passes > c.events);
-    assert_eq!(c.bins.len(), c.magnitudes_ppm.len());
-    let peak = c.magnitudes_ppm.iter().cloned().fold(0.0_f64, f64::max);
-    assert!(peak > 2000.0, "peak line magnitude {peak} ppm too small");
 }
 
 #[test]
 fn single_shard_tone_does_not_trip_the_quorum() {
     // A genuinely local tone — same spectral content, one shard — is
     // the per-shard monitor's jurisdiction, not the coherence
-    // detector's; the quorum must hold.
-    let mut pool = coherence_pool(&[0], CoherenceConfig::new(), 0xAD5A);
-    let mut delivered = vec![0u8; 8192];
-    pool.fill_bytes(&mut delivered).expect("fill");
-    let stats = pool.stats();
-    assert!(
-        !stats
-            .journal
-            .iter()
-            .any(|e| e.kind == IncidentKind::CommonModeCoherence),
-        "single-shard tone must not reach the coherence quorum"
-    );
-    let c = stats.coherence.as_ref().expect("coherence stats");
-    assert_eq!(c.events, 0);
-    assert!(c.passes > 0, "detector never scanned");
-    // The line is still visible in the magnitude telemetry — one
-    // shard's spectrum shows it, it just cannot make quorum.
-    let peak = c.magnitudes_ppm.iter().cloned().fold(0.0_f64, f64::max);
-    assert!(peak > 2000.0, "local line magnitude {peak} ppm too small");
+    // detector's; the quorum must hold, in a pair and in a trio.
+    for (shards, target, seed, fill) in [(2, 0, 0xAD5A, 8192), (3, 2, 0xC0_4E, 12288)] {
+        let mut pool = coherence_pool(shards, &[target], CoherenceConfig::new(), seed);
+        let mut delivered = vec![0u8; fill];
+        pool.fill_bytes(&mut delivered).expect("fill");
+        let stats = pool.stats();
+        assert!(
+            !stats
+                .journal
+                .iter()
+                .any(|e| e.kind == IncidentKind::CommonModeCoherence),
+            "single-shard tone must not reach the coherence quorum"
+        );
+        let c = stats.coherence.as_ref().expect("coherence stats");
+        assert_eq!(c.events, 0);
+        assert!(c.passes > 0, "detector never scanned");
+        // The line is still visible in the magnitude telemetry — one
+        // shard's spectrum shows it, it just cannot make quorum.
+        let peak = c.magnitudes_ppm.iter().cloned().fold(0.0_f64, f64::max);
+        assert!(peak > 2000.0, "local line magnitude {peak} ppm too small");
+    }
 }
 
 #[test]
@@ -462,6 +501,7 @@ fn alarm_all_escalation_quarantines_and_readmits_the_quorum() {
     // quarantine, fresh admission test, readmission (the scripted tone
     // is transient, so the rebuilt sources come back clean).
     let mut pool = coherence_pool(
+        2,
         &[0, 1],
         CoherenceConfig::new().with_response(CoherenceResponse::AlarmAll),
         0xAD5A,
@@ -499,11 +539,11 @@ fn coherence_runs_replay_byte_identically() {
     // Detector state is part of the deterministic replay contract:
     // same config, same seed => same bytes, same stats (including
     // passes/events/magnitudes), same journal.
-    for targets in [vec![0usize, 1], vec![0]] {
-        let mut a = coherence_pool(&targets, CoherenceConfig::new(), 0xD0_0D);
-        let mut b = coherence_pool(&targets, CoherenceConfig::new(), 0xD0_0D);
-        let mut x = vec![0u8; 8192];
-        let mut y = vec![0u8; 8192];
+    for (shards, targets) in [(2, vec![0usize, 1]), (2, vec![0]), (3, vec![0, 1])] {
+        let mut a = coherence_pool(shards, &targets, CoherenceConfig::new(), 0xD0_0D);
+        let mut b = coherence_pool(shards, &targets, CoherenceConfig::new(), 0xD0_0D);
+        let mut x = vec![0u8; 4096 * shards];
+        let mut y = vec![0u8; 4096 * shards];
         a.fill_bytes(&mut x).expect("fill");
         b.fill_bytes(&mut y).expect("fill");
         assert_eq!(x, y, "replay diverged for targets {targets:?}");
@@ -541,7 +581,7 @@ fn multi_phase_supply_ramp_escalates_until_detected() {
     let mut pool = EntropyPool::new(config).expect("pool");
     let mut delivered = vec![0u8; 8192];
     pool.fill_bytes(&mut delivered).expect("fill");
-    assert_stream_health_clean(&delivered, false);
+    assert_stream_health_clean(&delivered);
 
     let stats = pool.stats();
     let drift = stats

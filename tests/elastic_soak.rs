@@ -10,52 +10,12 @@
 
 use std::time::Duration;
 
-use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::TrngConfig;
-use trng_model::params::{DesignParams, PlatformParams};
+use trng_pool::testing::{assert_stream_health_clean, dead_fault};
 use trng_pool::{
-    Conditioning, EntropyPool, FaultInjection, IncidentKind, PoolConfig, PoolError, PoolHealth,
-    RespawnPolicy, ShardFault, ShardOrigin, ShardState,
+    Conditioning, EntropyPool, IncidentKind, PoolConfig, PoolError, PoolHealth, RespawnPolicy,
+    ShardOrigin, ShardState,
 };
-
-/// Drift-frozen, injection-locked configuration; a running shard
-/// swapped onto it reliably trips the continuous tests.
-fn dead_config() -> TrngConfig {
-    let mut config = TrngConfig::ideal();
-    config.platform = PlatformParams::new(480.0, 17.0, 0.05).expect("valid");
-    config.design = DesignParams {
-        k: 4,
-        n_a: 1,
-        np: 1,
-        f_clk_hz: (1e12f64 / (21.0 * 480.0)).round() as u64,
-        ..DesignParams::paper_k4()
-    };
-    config
-}
-
-fn fault(shard: usize, after_bytes: u64, transient: bool) -> FaultInjection {
-    FaultInjection {
-        shard,
-        after_bytes,
-        fault: ShardFault::Config(Box::new(dead_config())),
-        transient,
-    }
-}
-
-/// Replays the delivered bytes through a fresh continuous-test gate:
-/// any unhealthy stretch that leaked into the stream would alarm here.
-fn assert_stream_health_clean(bytes: &[u8]) {
-    let mut gate = OnlineHealth::new(0.5);
-    for &byte in bytes {
-        for bit in (0..8).rev().map(|i| byte >> i & 1 == 1) {
-            assert_eq!(
-                gate.push(bit),
-                HealthStatus::Ok,
-                "delivered stream alarmed the continuous tests"
-            );
-        }
-    }
-}
 
 /// The chaos script: shard 2 takes a transient hit (quarantine and
 /// re-admission), shard 1 dies persistently (retired, then replaced by
@@ -65,8 +25,8 @@ fn chaos_config() -> PoolConfig {
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0xE1A5)
         .with_block_bytes(64)
-        .with_fault(fault(2, 1024, true))
-        .with_fault(fault(1, 2048, false))
+        .with_fault(dead_fault(2, 1024, true))
+        .with_fault(dead_fault(1, 2048, false))
         .with_respawn(RespawnPolicy::new(3, 2))
         .deterministic(true)
 }
@@ -161,6 +121,45 @@ fn chaos_script_heals_byte_exactly_with_a_matching_journal() {
     replay_pool.fill_bytes(&mut replay).expect("fill");
     assert_eq!(delivered, replay, "replay diverged");
     assert_eq!(pool.stats(), replay_pool.stats());
+
+    // Single-death case with a budget of exactly one respawn: the
+    // whole journal, across shards and in order, is the scripted
+    // story and nothing else.
+    let config = PoolConfig::new(TrngConfig::paper_k1(), 3)
+        .with_conditioning(Conditioning::DesignXor)
+        .with_seed(0xE1A57)
+        .with_block_bytes(64)
+        .with_fault(dead_fault(1, 2048, false))
+        .with_respawn(RespawnPolicy::new(3, 1))
+        .deterministic(true);
+    let mut pool = EntropyPool::new(config).expect("pool");
+    pool.wait_online(Duration::from_secs(60))
+        .expect("admission");
+    let mut delivered = vec![0u8; 32 * 1024];
+    pool.fill_bytes(&mut delivered).expect("fill");
+    assert_stream_health_clean(&delivered);
+    let stats = pool.stats();
+    assert_eq!(stats.respawns, 1);
+    assert_eq!(stats.shards.len(), 4);
+    assert_eq!(stats.shards[1].state, ShardState::Retired);
+    assert!(stats.shards[1].superseded);
+    assert_eq!(stats.shards[3].state, ShardState::Online);
+    assert_eq!(stats.health(), PoolHealth::Healthy);
+    let story: Vec<(usize, IncidentKind)> =
+        stats.journal.iter().map(|e| (e.shard, e.kind)).collect();
+    assert_eq!(
+        story,
+        [
+            (0, IncidentKind::Spawn),
+            (1, IncidentKind::Spawn),
+            (2, IncidentKind::Spawn),
+            (1, IncidentKind::Alarm),
+            (1, IncidentKind::Quarantine),
+            (1, IncidentKind::Retire),
+            (3, IncidentKind::Respawn),
+        ]
+    );
+    assert_eq!(stats.journal_recorded, 7);
 }
 
 #[test]
@@ -174,9 +173,9 @@ fn spent_budget_ends_in_typed_exhaustion_with_every_attempt_journaled() {
         .with_seed(0xDEAD)
         .with_block_bytes(64)
         .with_max_readmissions(0)
-        .with_fault(fault(0, 1024, false))
-        .with_fault(fault(1, 512, false))
-        .with_fault(fault(2, 0, false))
+        .with_fault(dead_fault(0, 1024, false))
+        .with_fault(dead_fault(1, 512, false))
+        .with_fault(dead_fault(2, 0, false))
         .with_respawn(RespawnPolicy::new(1, 2))
         .deterministic(true);
     let mut pool = EntropyPool::new(config).expect("pool");
@@ -218,7 +217,7 @@ fn threaded_respawn_joins_the_dead_worker_and_fills_the_new_ring() {
         .with_seed(0x7EAD)
         .with_block_bytes(128)
         .with_max_readmissions(0)
-        .with_fault(fault(0, 1024, false))
+        .with_fault(dead_fault(0, 1024, false))
         .with_respawn(RespawnPolicy::new(2, 1));
     let mut pool = EntropyPool::new(config).expect("pool");
     assert_eq!(

@@ -1,67 +1,23 @@
 //! Pool soak tests: multi-shard runs with a mid-stream fault injected
 //! into one shard. The delivered stream must stay health-clean — the
 //! zero-unhealthy-bytes guarantee — and `PoolStats` must record
-//! exactly the injected quarantine, nothing more.
+//! exactly the injected quarantine, nothing more. Fault-free 1 MB
+//! cases pin the other side: a threaded raw pool and a composed
+//! Toeplitz pool stream without a single alarm, and the composed
+//! stage's min-entropy claim stays below what it measures.
 //!
 //! The first tests run in tier-1 CI; the statistics-battery soak at
 //! the bottom is ignored by default (run with `--ignored`).
 
 use std::time::Duration;
 
-use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::TrngConfig;
-use trng_model::params::{DesignParams, PlatformParams};
-use trng_pool::{
-    Conditioning, EntropyPool, FaultInjection, PoolConfig, PoolError, ShardFault, ShardState,
+use trng_pool::testing::{
+    assert_covers_byte_alphabet, assert_stream_health_clean, assert_unbiased, dead_fault,
 };
-
-/// Drift-frozen, injection-locked configuration; a running shard
-/// swapped onto it reliably trips the continuous tests.
-fn dead_config() -> TrngConfig {
-    let mut config = TrngConfig::ideal();
-    config.platform = PlatformParams::new(480.0, 17.0, 0.05).expect("valid");
-    config.design = DesignParams {
-        k: 4,
-        n_a: 1,
-        np: 1,
-        f_clk_hz: (1e12f64 / (21.0 * 480.0)).round() as u64,
-        ..DesignParams::paper_k4()
-    };
-    config
-}
-
-fn transient_fault(shard: usize, after_bytes: u64) -> FaultInjection {
-    FaultInjection {
-        shard,
-        after_bytes,
-        fault: ShardFault::Config(Box::new(dead_config())),
-        transient: true,
-    }
-}
-
-/// Replays the delivered bytes through a fresh continuous-test gate:
-/// if any stretch of the stream carried the injected failure, the same
-/// tests that guard the shards would alarm here too.
-fn assert_stream_health_clean(bytes: &[u8]) {
-    let mut gate = OnlineHealth::new(0.5);
-    let mut ones = 0u64;
-    for &byte in bytes {
-        for bit in (0..8).rev().map(|i| byte >> i & 1 == 1) {
-            ones += u64::from(bit);
-            assert_eq!(
-                gate.push(bit),
-                HealthStatus::Ok,
-                "delivered stream alarmed the continuous tests"
-            );
-        }
-    }
-    let total = bytes.len() as f64 * 8.0;
-    let frac = ones as f64 / total;
-    assert!(
-        (frac - 0.5).abs() < 0.015,
-        "delivered stream is biased: ones fraction {frac}"
-    );
-}
+use trng_pool::{
+    ComposedExtract, Conditioning, EntropyPool, NoiseBackend, PoolConfig, PoolError, ShardState,
+};
 
 #[test]
 fn deterministic_soak_injected_fault_never_taints_the_stream() {
@@ -69,7 +25,7 @@ fn deterministic_soak_injected_fault_never_taints_the_stream() {
     let config = PoolConfig::new(TrngConfig::paper_k1(), 3)
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0x50AC)
-        .with_fault(transient_fault(1, 2048))
+        .with_fault(dead_fault(1, 2048, true))
         .deterministic(true);
     let mut pool = EntropyPool::new(config).expect("pool");
     assert_eq!(
@@ -100,12 +56,13 @@ fn deterministic_soak_injected_fault_never_taints_the_stream() {
 
     // Zero-unhealthy-bytes guarantee on the actual delivered stream.
     assert_stream_health_clean(&delivered);
+    assert_unbiased(&delivered);
 
     // And the incident replays byte-identically.
     let config = PoolConfig::new(TrngConfig::paper_k1(), 3)
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0x50AC)
-        .with_fault(transient_fault(1, 2048))
+        .with_fault(dead_fault(1, 2048, true))
         .deterministic(true);
     let mut replay_pool = EntropyPool::new(config).expect("pool");
     let mut replay = vec![0u8; 16 * 1024];
@@ -120,7 +77,7 @@ fn threaded_soak_quarantines_and_heals_under_load() {
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0xBEE)
         .with_block_bytes(128)
-        .with_fault(transient_fault(0, 1024));
+        .with_fault(dead_fault(0, 1024, true));
     let mut pool = EntropyPool::new(config).expect("pool");
     assert_eq!(
         pool.wait_online(Duration::from_secs(120))
@@ -131,6 +88,7 @@ fn threaded_soak_quarantines_and_heals_under_load() {
     let mut delivered = vec![0u8; 8 * 1024];
     pool.fill_bytes(&mut delivered).expect("fill");
     assert_stream_health_clean(&delivered);
+    assert_unbiased(&delivered);
 
     // The sabotaged shard must have alarmed exactly once; give the
     // worker a moment to finish the re-admission test if it is still
@@ -149,6 +107,30 @@ fn threaded_soak_quarantines_and_heals_under_load() {
     assert_eq!(stats.shards[0].state, ShardState::Online);
     assert_eq!(stats.shards[1].alarms, 0);
     assert_eq!(stats.shards[1].state, ShardState::Online);
+
+    // Fault-free case: the same threaded path streams 1 MB of raw
+    // bytes through its workers, rings and gates without a single
+    // alarm, every shard contributing and ending online.
+    let config = PoolConfig::new(TrngConfig::paper_k1(), 2)
+        .with_conditioning(Conditioning::Raw)
+        .with_seed(0xC1C1);
+    let mut pool = EntropyPool::new(config).expect("pool");
+    assert_eq!(
+        pool.wait_online(Duration::from_secs(120))
+            .expect("admission"),
+        2
+    );
+    let mut delivered = vec![0u8; 1_000_000];
+    for chunk in delivered.chunks_mut(64 * 1024) {
+        pool.fill_bytes(chunk).expect("fill");
+    }
+    let stats = pool.stats();
+    assert_eq!(stats.total_alarms(), 0, "alarms on a healthy source");
+    for s in &stats.shards {
+        assert_eq!(s.state, ShardState::Online, "shard {} state", s.id);
+        assert!(s.bytes_produced > 0, "shard {} produced nothing", s.id);
+    }
+    assert_covers_byte_alphabet(&delivered);
 }
 
 #[test]
@@ -159,12 +141,7 @@ fn pool_runs_dry_with_typed_error_when_last_shard_dies() {
     let config = PoolConfig::new(TrngConfig::paper_k1(), 1)
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0xD1E)
-        .with_fault(FaultInjection {
-            shard: 0,
-            after_bytes: 1024,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false,
-        })
+        .with_fault(dead_fault(0, 1024, false))
         .deterministic(true);
     let mut pool = EntropyPool::new(config).expect("pool");
     let mut sink = vec![0u8; 1 << 20];
@@ -173,6 +150,7 @@ fn pool_runs_dry_with_typed_error_when_last_shard_dies() {
             assert!(filled >= 1024, "healthy prefix was {filled}");
             assert!(filled < sink.len());
             assert_stream_health_clean(&sink[..filled]);
+            assert_unbiased(&sink[..filled]);
         }
         other => panic!("expected SourcesExhausted, got {other:?}"),
     }
@@ -195,7 +173,7 @@ fn trimmed_battery_passes_in_tier1() {
     let config = PoolConfig::new(TrngConfig::paper_k1(), 2)
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0xFEED)
-        .with_fault(transient_fault(1, 4096))
+        .with_fault(dead_fault(1, 4096, true))
         .deterministic(true);
     let mut pool = EntropyPool::new(config).expect("pool");
     let mut delivered = vec![0u8; 24 * 1024];
@@ -205,6 +183,7 @@ fn trimmed_battery_passes_in_tier1() {
     assert_eq!(stats.total_alarms(), 1);
     assert_eq!(stats.shards[1].readmissions, 1);
     assert_stream_health_clean(&delivered);
+    assert_unbiased(&delivered);
 
     let bits: BitVec = delivered
         .iter()
@@ -222,6 +201,55 @@ fn trimmed_battery_passes_in_tier1() {
         "NIST failures: {:?}\n{battery}",
         battery.failures()
     );
+
+    // Composed case: raw shards feeding the pool-level Toeplitz stage
+    // at its leftover-hash ratio stream 1 MB with zero alarms, and the
+    // stage's claim stays at or below the min-entropy it measures.
+    let composed = || {
+        PoolConfig::new(TrngConfig::paper_k1(), 2)
+            .with_conditioning(Conditioning::Raw)
+            .with_noise_backend(NoiseBackend::Batched)
+            .with_composed_extract(ComposedExtract::new(32, 0x70E9))
+            .with_seed(0xE47AC7)
+            .deterministic(true)
+    };
+    let mut pool = EntropyPool::new(composed()).expect("pool");
+    assert_eq!(
+        pool.wait_online(Duration::from_secs(120))
+            .expect("admission"),
+        2
+    );
+    let mut stream = vec![0u8; 1_000_000];
+    pool.fill_bytes(&mut stream).expect("fill");
+    let stats = pool.stats();
+    assert_eq!(stats.total_alarms(), 0);
+    for s in &stats.shards {
+        assert_eq!(s.state, ShardState::Online, "shard {} state", s.id);
+    }
+    let c = stats.composed.as_ref().expect("composed stats");
+    assert!(
+        c.ratio <= 7,
+        "ratio {} wider than the design's np = 7",
+        c.ratio
+    );
+    assert!(c.bytes_extracted >= stream.len() as u64);
+    assert!(
+        c.claimed_min_entropy <= c.measured_min_entropy,
+        "claimed {} > measured {}",
+        c.claimed_min_entropy,
+        c.measured_min_entropy
+    );
+    assert!(
+        c.measured_min_entropy >= 0.9,
+        "measured min-entropy {} below the 0.9/bit floor",
+        c.measured_min_entropy
+    );
+    let mut replay = vec![0u8; 4096];
+    EntropyPool::new(composed())
+        .expect("pool")
+        .fill_bytes(&mut replay)
+        .expect("fill");
+    assert_eq!(replay, stream[..4096], "composed stream must replay");
 }
 
 #[test]
@@ -236,7 +264,7 @@ fn pooled_output_passes_the_statistical_batteries() {
     let config = PoolConfig::new(TrngConfig::paper_k1(), 4)
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0xFEED)
-        .with_fault(transient_fault(2, 8192))
+        .with_fault(dead_fault(2, 8192, true))
         .deterministic(true);
     let mut pool = EntropyPool::new(config).expect("pool");
     let mut delivered = vec![0u8; 64 * 1024];

@@ -9,29 +9,12 @@
 
 use std::time::{Duration, Instant};
 
-use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::TrngConfig;
-use trng_model::params::{DesignParams, PlatformParams};
+use trng_pool::testing::{assert_covers_byte_alphabet, assert_stream_health_clean, dead_fault};
 use trng_pool::{
-    ComposedExtract, Conditioning, EntropyPool, FaultInjection, PoolConfig, PoolHandle,
-    RespawnPolicy, ShardFault, ShardState,
+    ComposedExtract, Conditioning, EntropyPool, PoolConfig, PoolHandle, RespawnPolicy, ShardState,
 };
 use trng_serve::{client, Client, FetchError, QuotaConfig, ServeConfig, Server};
-
-/// Drift-frozen, injection-locked configuration; a running shard
-/// swapped onto it reliably trips the continuous tests.
-fn dead_config() -> TrngConfig {
-    let mut config = TrngConfig::ideal();
-    config.platform = PlatformParams::new(480.0, 17.0, 0.05).expect("valid");
-    config.design = DesignParams {
-        k: 4,
-        n_a: 1,
-        np: 1,
-        f_clk_hz: (1e12f64 / (21.0 * 480.0)).round() as u64,
-        ..DesignParams::paper_k4()
-    };
-    config
-}
 
 fn online_handle(config: PoolConfig) -> PoolHandle {
     let handle = EntropyPool::new(config).expect("pool").into_shared();
@@ -48,19 +31,6 @@ fn replay(config: PoolConfig, n: usize) -> Vec<u8> {
     let mut bytes = vec![0u8; n];
     pool.fill_bytes(&mut bytes).expect("replay fill");
     bytes
-}
-
-fn assert_stream_health_clean(bytes: &[u8]) {
-    let mut gate = OnlineHealth::new(0.5);
-    for &byte in bytes {
-        for bit in (0..8).rev().map(|i| byte >> i & 1 == 1) {
-            assert_eq!(
-                gate.push(bit),
-                HealthStatus::Ok,
-                "delivered stream alarmed the continuous tests"
-            );
-        }
-    }
 }
 
 /// Acceptance centerpiece: N concurrent clients each fetch 64 KiB
@@ -121,7 +91,8 @@ fn concurrent_clients_tile_the_deterministic_replay_stream() {
 
 /// Quota is per-connection: the second over-budget request on one
 /// connection is throttled (typed as a wait, not an error), while a
-/// fresh connection's burst is untouched.
+/// fresh connection's burst is untouched — alone, and under load from
+/// concurrent clients of a threaded pool.
 #[test]
 fn quota_throttles_within_a_connection_but_not_across_connections() {
     let config = PoolConfig::new(TrngConfig::paper_k1(), 1)
@@ -162,6 +133,76 @@ fn quota_throttles_within_a_connection_but_not_across_connections() {
     assert_eq!(stats.throttled, Duration::from_millis(500));
     assert_eq!(stats.requests_ok, 2);
     drop(server);
+
+    // Under load: a threaded pool behind four concurrent connections.
+    // Three in-quota clients stream 320 KiB each in 8 KiB requests;
+    // the fourth front-loads one 96 KiB request, which owes exactly
+    // (96 KiB - 32 KiB) / 64 KiB/s = 1 s of throttle. It is throttled,
+    // never refused, and every byte is accounted for through drain.
+    const PER_CLIENT: usize = 320 * 1024;
+    const OVER_QUOTA: u32 = 96 * 1024;
+    let config = PoolConfig::new(TrngConfig::paper_k1(), 2)
+        .with_conditioning(Conditioning::Raw)
+        .with_seed(0x5E7E);
+    let server = Server::start(
+        online_handle(config),
+        ServeConfig::default().with_quota(QuotaConfig::new(65536.0, 32768)),
+    )
+    .expect("server");
+    let addr = server.local_addr();
+    let in_quota: Vec<_> = (0..3)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let mut got = Vec::with_capacity(PER_CLIENT);
+                while got.len() < PER_CLIENT {
+                    let want = (PER_CLIENT - got.len()).min(8 * 1024) as u32;
+                    got.extend(client.fetch(want).expect("in-quota fetch"));
+                }
+                got
+            })
+        })
+        .collect();
+    let over_quota = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let t0 = Instant::now();
+        let bytes = client.fetch(OVER_QUOTA).expect("throttled, not refused");
+        (bytes, t0.elapsed())
+    });
+    let mut delivered = Vec::new();
+    for handle in in_quota {
+        let got = handle.join().expect("client thread");
+        assert_eq!(got.len(), PER_CLIENT);
+        delivered.extend(got);
+    }
+    let (bytes, elapsed) = over_quota.join().expect("client thread");
+    assert_eq!(bytes.len(), OVER_QUOTA as usize);
+    assert!(
+        elapsed >= Duration::from_millis(900),
+        "over-quota fetch returned in {elapsed:?}: the 1 s deficit was not enforced"
+    );
+    delivered.extend(bytes);
+    let stats = server.stats();
+    assert!(stats.throttle_events >= 1);
+    assert!(stats.throttled >= Duration::from_secs(1));
+    assert_eq!(
+        (
+            stats.requests_timeout,
+            stats.requests_exhausted,
+            stats.requests_rejected
+        ),
+        (0, 0, 0)
+    );
+    let body = client::scrape_metrics(server.metrics_addr().expect("metrics on")).expect("scrape");
+    assert_eq!(body.lines().next(), Some("healthy"));
+    for needle in ["\"bytes_delivered\"", "\"bytes_served\"", "\"shards\""] {
+        assert!(body.contains(needle), "metrics lack {needle}:\n{body}");
+    }
+    assert_covers_byte_alphabet(&delivered);
+    let report = server.shutdown();
+    assert!(!report.hit_deadline);
+    assert_eq!(report.workers_joined, ServeConfig::default().workers);
+    assert_eq!(report.bytes_served, delivered.len() as u64);
 }
 
 /// Graceful drain: a request in flight when shutdown begins is served
@@ -201,6 +242,54 @@ fn drain_completes_in_flight_requests_then_refuses_connections() {
         Ok(mut late) => late.fetch(16).is_err(),
     };
     assert!(refused, "server still serving after shutdown");
+}
+
+/// A request whose tag, length and count arrive in separate segments
+/// is still served (the committed-read fallback), and two requests
+/// pipelined in one write are answered in order (the one-read fast
+/// path never consumes the next request's bytes).
+#[test]
+fn split_and_pipelined_requests_are_served() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use trng_serve::protocol::{read_frame, FrameType, MAX_FRAME_PAYLOAD};
+
+    let config = PoolConfig::new(TrngConfig::paper_k1(), 1)
+        .with_conditioning(Conditioning::Raw)
+        .with_seed(0x5B17)
+        .deterministic(true);
+    let server = Server::start(online_handle(config), ServeConfig::default()).expect("server");
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    let req = |n: u32| {
+        let mut frame = vec![FrameType::Req.as_u8()];
+        frame.extend_from_slice(&4u32.to_be_bytes());
+        frame.extend_from_slice(&n.to_be_bytes());
+        frame
+    };
+    let expect_ok = |conn: &mut TcpStream, n: usize| {
+        let frame = read_frame(conn, MAX_FRAME_PAYLOAD)
+            .expect("read")
+            .expect("frame");
+        assert_eq!((frame.kind, frame.payload.len()), (FrameType::Ok, n));
+    };
+
+    let split = req(300);
+    for piece in [&split[..1], &split[1..5], &split[5..]] {
+        conn.write_all(piece).expect("write");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    expect_ok(&mut conn, 300);
+
+    let mut pipelined = req(100);
+    pipelined.extend(req(200));
+    conn.write_all(&pipelined).expect("write");
+    expect_ok(&mut conn, 100);
+    expect_ok(&mut conn, 200);
+
+    let stats = server.stats();
+    assert_eq!((stats.requests_ok, stats.requests_rejected), (3, 0));
+    drop(server);
 }
 
 /// The acceptor blocks in `accept` instead of napping between polls,
@@ -254,12 +343,7 @@ fn transient_fault_soak_delivers_only_healthy_replay_bytes() {
         PoolConfig::new(TrngConfig::paper_k1(), 3)
             .with_conditioning(Conditioning::DesignXor)
             .with_seed(0x50AC)
-            .with_fault(FaultInjection {
-                shard: 1,
-                after_bytes: 2048,
-                fault: ShardFault::Config(Box::new(dead_config())),
-                transient: true,
-            })
+            .with_fault(dead_fault(1, 2048, true))
             .deterministic(true)
     };
     let server = Server::start(online_handle(config()), ServeConfig::default()).expect("server");
@@ -297,12 +381,7 @@ fn exhaustion_is_a_typed_frame_and_the_server_survives() {
         PoolConfig::new(TrngConfig::paper_k1(), 1)
             .with_conditioning(Conditioning::DesignXor)
             .with_seed(0xD1E)
-            .with_fault(FaultInjection {
-                shard: 0,
-                after_bytes: 1024,
-                fault: ShardFault::Config(Box::new(dead_config())),
-                transient: false,
-            })
+            .with_fault(dead_fault(0, 1024, false))
             .deterministic(true)
     };
     let server = Server::start(online_handle(config()), ServeConfig::default()).expect("server");
@@ -407,14 +486,9 @@ fn metrics_walk_degraded_recovering_healthy_across_a_respawn() {
         .with_conditioning(Conditioning::DesignXor)
         .with_seed(0x4EA1)
         .with_max_readmissions(0)
-        .with_fault(FaultInjection {
-            shard: 0,
-            // Far past the ring prefill: the shard only dies once
-            // clients have drained real traffic through it.
-            after_bytes: 24 * 1024,
-            fault: ShardFault::Config(Box::new(dead_config())),
-            transient: false,
-        })
+        // Far past the ring prefill: the shard only dies once clients
+        // have drained real traffic through it.
+        .with_fault(dead_fault(0, 24 * 1024, false))
         // Both windows must outlast one driver iteration (one small
         // fetch plus one scrape), or a scrape can never land inside
         // them.

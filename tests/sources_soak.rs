@@ -10,16 +10,18 @@
 //! audit: whatever the gates saw live, they see again.
 //!
 //! The mixed-pool soak then drives all four backends through the
-//! quarantine/readmit lifecycle in one pool.
+//! quarantine/readmit lifecycle, in one pool and each alone.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::TrngConfig;
+use trng_pool::testing::{
+    assert_covers_byte_alphabet, assert_stream_health_clean, assert_unbiased,
+};
 use trng_pool::{
-    Conditioning, EntropyPool, FaultInjection, IncidentKind, PoolConfig, RecordedTrace, ShardFault,
-    ShardState, SourceKind, SourceSpec,
+    Conditioning, DualOscConfig, EntropyPool, FaultInjection, IncidentKind, PoolConfig,
+    RecordedTrace, ShardFault, ShardState, SourceKind, SourceSpec,
 };
 use trng_sources::mix_seed;
 
@@ -38,28 +40,6 @@ fn record_shard0(pool_seed: u64, nbytes: usize) -> Arc<RecordedTrace> {
         .for_shard(0)
         .expect("shard placement");
     Arc::new(RecordedTrace::record(&config, mix_seed(pool_seed, 0), nbytes).expect("capture"))
-}
-
-/// Replays the delivered bytes through a fresh continuous-test gate
-/// (the zero-unhealthy-bytes guarantee, as in `pool_soak`).
-fn assert_stream_health_clean(bytes: &[u8]) {
-    let mut gate = OnlineHealth::new(0.5);
-    let mut ones = 0u64;
-    for &byte in bytes {
-        for bit in (0..8).rev().map(|i| byte >> i & 1 == 1) {
-            ones += u64::from(bit);
-            assert_eq!(
-                gate.push(bit),
-                HealthStatus::Ok,
-                "delivered stream alarmed the continuous tests"
-            );
-        }
-    }
-    let frac = ones as f64 / (bytes.len() as f64 * 8.0);
-    assert!(
-        (frac - 0.5).abs() < 0.015,
-        "delivered stream is biased: ones fraction {frac}"
-    );
 }
 
 #[test]
@@ -175,7 +155,9 @@ fn trace_replay_reproduces_a_live_incident_stamp_for_stamp() {
         replay_out[..FAULT_AT as usize]
     );
     assert_stream_health_clean(&live_out);
+    assert_unbiased(&live_out);
     assert_stream_health_clean(&replay_out);
+    assert_unbiased(&replay_out);
     for stats in [&live_stats, &replay_stats] {
         let s = &stats.shards[0];
         assert_eq!(s.alarms, 1);
@@ -198,7 +180,7 @@ fn mixed_pool_soaks_through_quarantine_on_every_backend() {
         .deterministic(true)
         .with_sources(vec![
             SourceSpec::CarryChain,
-            SourceSpec::DualOscillator(Box::new(trng_pool::DualOscConfig::betrusted_default())),
+            SourceSpec::DualOscillator(Box::new(DualOscConfig::betrusted_default())),
             SourceSpec::TraceReplay(trace),
             SourceSpec::OsEntropy,
         ]);
@@ -246,6 +228,8 @@ fn mixed_pool_soaks_through_quarantine_on_every_backend() {
     }
     assert_eq!(stats.total_alarms(), 4);
     assert_stream_health_clean(&delivered);
+    assert_unbiased(&delivered);
+    assert_covers_byte_alphabet(&delivered);
 
     // The interleaved mixed stream also clears the AIS-31 battery.
     use trng_stattests::ais31::run_ais31;
@@ -256,4 +240,48 @@ fn mixed_pool_soaks_through_quarantine_on_every_backend() {
         .collect();
     let ais = run_ais31(&bits);
     assert!(ais.all_passed(), "{ais}");
+
+    // Each backend alone behind a one-shard pool: admitted, serving,
+    // and through the same Stuck drill a quarter of the way in.
+    const ALONE: usize = 8 * 1024;
+    // Two startups plus the whole output, with slack: never wraps.
+    const TRACE: usize = 2 * (2048 / 8 * 7) + ALONE * 7 + 4096;
+    for kind in SourceKind::all() {
+        let spec = match kind {
+            SourceKind::CarryChain => SourceSpec::CarryChain,
+            SourceKind::DualOscillator => {
+                SourceSpec::DualOscillator(Box::new(DualOscConfig::betrusted_default()))
+            }
+            SourceKind::TraceReplay => SourceSpec::TraceReplay(Arc::new(
+                RecordedTrace::record(&TrngConfig::paper_k1(), 0x50CE, TRACE).expect("capture"),
+            )),
+            SourceKind::OsEntropy => SourceSpec::OsEntropy,
+        };
+        let config = one_shard(0x50CE)
+            .with_sources(vec![spec])
+            .with_fault(FaultInjection {
+                shard: 0,
+                after_bytes: ALONE as u64 / 4,
+                fault: ShardFault::Stuck,
+                transient: true,
+            });
+        let mut pool = EntropyPool::new(config).expect("pool");
+        assert_eq!(
+            pool.wait_online(Duration::from_secs(120))
+                .expect("admission"),
+            1,
+            "{kind} must pass AIS-31 admission"
+        );
+        let mut delivered = vec![0u8; ALONE];
+        pool.fill_bytes(&mut delivered).expect("fill");
+        let s = &pool.stats().shards[0];
+        assert_eq!(s.source, kind);
+        assert_eq!(
+            (s.alarms, s.readmissions, s.startup_runs),
+            (1, 1, 2),
+            "{kind}: alarms / readmissions / startups"
+        );
+        assert_eq!(s.state, ShardState::Online, "{kind} shard state");
+        assert_covers_byte_alphabet(&delivered);
+    }
 }
