@@ -8,7 +8,8 @@
 //! deliberately.
 
 use trng_core::snippet::SnippetKind;
-use trng_core::trng::{CarryChainTrng, TrngConfig};
+use trng_core::trng::{CarryChainTrng, TrngConfig, TrngStats};
+use trng_fpga_sim::noise::NoiseBackend;
 use trng_model::design_space::{compare_with_elementary, improvement_factor};
 use trng_model::entropy::entropy_lower_bound;
 use trng_model::params::PlatformParams;
@@ -135,5 +136,40 @@ fn eq8_model_inversion_golden() {
         (cmp.t_a_elementary_ps - 7_896_728.694_275).abs() < 1.0,
         "elementary tA = {} ps",
         cmp.t_a_elementary_ps
+    );
+}
+
+/// FNV-1a over `bytes`: a compact fingerprint for pinned byte streams.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The batched noise engine's own seeded replay: a 4 KiB `fill_raw`
+/// prefix of `paper_k1` at seed 2015 and the statistics census it
+/// leaves. The batched engine draws different normals than the scalar
+/// one, so this stream is its own golden, not the scalar snapshot's.
+#[test]
+fn batched_fill_raw_snapshot_paper_k1() {
+    let config = TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Batched);
+    let mut trng = CarryChainTrng::new(config, 2015).expect("build");
+    assert_eq!(trng.active_noise_backend(), NoiseBackend::Batched);
+    let mut raw = vec![0u8; 4096];
+    trng.fill_raw(&mut raw);
+    assert_eq!(
+        raw[..16],
+        [129, 179, 148, 200, 64, 192, 67, 24, 132, 117, 141, 58, 150, 64, 154, 20]
+    );
+    assert_eq!(fnv1a(&raw), 0xee16_3ba8_343b_7223);
+    assert_eq!(
+        *trng.stats(),
+        TrngStats {
+            samples: 32_768,
+            missed_edges: 0,
+            regular: 24_974,
+            double_edge: 7_738,
+            bubbled: 56,
+        }
     );
 }
