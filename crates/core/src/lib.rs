@@ -62,7 +62,9 @@ pub use restart::RestartMatrix;
 pub use rng_adapter::TrngRng;
 pub use rtl::{extract_packed, PackedWord};
 pub use self_timed::{SelfTimedConfig, SelfTimedTrng};
-pub use selftest::{claimed_min_entropy, run_startup_test, StartupReport};
+pub use selftest::{
+    claimed_min_entropy, run_startup, run_startup_test, StartupReport, StartupSource,
+};
 pub use snippet::{Snippet, SnippetKind};
 pub use trng::{BuildTrngError, CarryChainTrng, TrngConfig, TrngStats};
 pub use von_neumann::VonNeumann;

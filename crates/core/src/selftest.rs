@@ -148,8 +148,41 @@ impl fmt::Display for StartupReport {
     }
 }
 
+/// A raw bit stream the start-up test can draw from: the carry-chain
+/// generator itself, or any pool backend (`trng-sources` implements it
+/// for every `EntropySource`).
+pub trait StartupSource {
+    /// Draws the next raw bit.
+    fn next_raw_bit(&mut self) -> bool;
+
+    /// Draws `out.len() * 8` raw bits, packed MSB-first, leaving the
+    /// stream where as many [`next_raw_bit`](Self::next_raw_bit) calls
+    /// would.
+    fn fill_raw(&mut self, out: &mut [u8]);
+
+    /// Samples drawn and edges the capture mechanism missed so far, as
+    /// `(samples, missed_edges)`; only their change across the test is
+    /// read.
+    fn capture_counts(&self) -> (u64, u64);
+}
+
+impl StartupSource for CarryChainTrng {
+    fn next_raw_bit(&mut self) -> bool {
+        CarryChainTrng::next_raw_bit(self)
+    }
+
+    fn fill_raw(&mut self, out: &mut [u8]) {
+        CarryChainTrng::fill_raw(self, out);
+    }
+
+    fn capture_counts(&self) -> (u64, u64) {
+        (self.stats().samples, self.stats().missed_edges)
+    }
+}
+
 /// Runs the start-up self-test on `trng`, feeding every raw bit drawn
-/// through `health` and compressing with `compressor`.
+/// through `health` and compressing with `compressor` — the carry-chain
+/// form of [`run_startup`].
 ///
 /// Multi-instance deployments (e.g. the `trng-pool` crate) gate shard
 /// admission and *re*-admission after a quarantine through this test.
@@ -178,42 +211,105 @@ pub fn run_startup_test(
     health: &mut OnlineHealth,
     compressor: &mut XorCompressor,
 ) -> StartupReport {
-    let samples_before = trng.stats().samples;
-    let missed_before = trng.stats().missed_edges;
-    let mut collected = 0usize;
-    let mut ones = 0usize;
-    let mut longest_run = 0usize;
-    let mut run = 0usize;
-    let mut prev = None;
-    while collected < STARTUP_BITS {
-        let raw = trng.next_raw_bit();
-        let _ = health.push(raw);
-        if let Some(bit) = compressor.push(raw) {
-            ones += usize::from(bit);
-            if prev == Some(bit) {
-                run += 1;
-            } else {
-                run = 1;
-                prev = Some(bit);
-            }
-            longest_run = longest_run.max(run);
-            collected += 1;
-        }
+    run_startup(trng, health, compressor)
+}
+
+/// The start-up self-test on any [`StartupSource`]: draws raw bits
+/// until `compressor` has emitted [`STARTUP_BITS`] output bits, gating
+/// every raw bit through `health`, then judges the output sample and
+/// the capture quality.
+///
+/// The test runs on the word path. Its raw demand is known up front
+/// (`STARTUP_BITS · rate` less the compressor's pending bits), so the
+/// bits are drawn with [`fill_raw`](StartupSource::fill_raw) in chunks
+/// of at most 64 bytes, gated with [`OnlineHealth::push_word`] and
+/// folded with [`XorCompressor::push_word`]; the monobit count and the
+/// longest run are read off the packed output words. Only a compressor
+/// handed over mid-group makes the demand end off a byte boundary, and
+/// those few leading bits are drawn one at a time. The source, the
+/// gate and the compressor end in exactly the state a bit-at-a-time
+/// loop over `next_raw_bit`, `OnlineHealth::push` and
+/// `XorCompressor::push` leaves; that loop is kept as the oracle of a
+/// differential test.
+pub fn run_startup<S: StartupSource + ?Sized>(
+    source: &mut S,
+    health: &mut OnlineHealth,
+    compressor: &mut XorCompressor,
+) -> StartupReport {
+    let (samples_before, missed_before) = source.capture_counts();
+    let mut remaining = STARTUP_BITS * compressor.rate() as usize - compressor.pending() as usize;
+    let mut runs = RunTally::default();
+    let mut feed = |word: u64, nbits: u32| {
+        let _ = health.push_word(word, nbits);
+        let (out, emitted) = compressor.push_word(word, nbits);
+        runs.push(out, emitted);
+    };
+    let head = remaining % 8;
+    if head > 0 {
+        let word = (0..head).fold(0u64, |w, i| {
+            w | u64::from(source.next_raw_bit()) << (63 - i)
+        });
+        feed(word, head as u32);
+        remaining -= head;
     }
-    let samples = trng.stats().samples - samples_before;
-    let missed = trng.stats().missed_edges - missed_before;
+    let mut chunk = [0u8; 64];
+    while remaining > 0 {
+        let nbytes = (remaining / 8).min(chunk.len());
+        source.fill_raw(&mut chunk[..nbytes]);
+        for part in chunk[..nbytes].chunks(8) {
+            let mut be = [0u8; 8];
+            be[..part.len()].copy_from_slice(part);
+            feed(u64::from_be_bytes(be), part.len() as u32 * 8);
+        }
+        remaining -= nbytes * 8;
+    }
+    let (samples_after, missed_after) = source.capture_counts();
+    let samples = samples_after - samples_before;
+    let missed = missed_after - missed_before;
     let missed_rate = if samples == 0 {
         0.0
     } else {
         missed as f64 / samples as f64
     };
     StartupReport {
-        ones,
-        longest_run,
-        monobit_ok: (899..=1149).contains(&ones),
-        long_run_ok: longest_run < 34,
+        ones: runs.ones,
+        longest_run: runs.longest,
+        monobit_ok: (899..=1149).contains(&runs.ones),
+        long_run_ok: runs.longest < 34,
         missed_edge_ok: missed_rate < 0.01 || samples < 1000,
         online_ok: health.status() == HealthStatus::Ok,
+    }
+}
+
+/// Ones count and longest same-bit run over a bit stream fed as packed
+/// words, a run at a time.
+#[derive(Debug, Default)]
+struct RunTally {
+    ones: usize,
+    longest: usize,
+    run: usize,
+    prev: Option<bool>,
+}
+
+impl RunTally {
+    /// Feeds the top `nbits` bits of `word`, stream-first at bit 63;
+    /// the rest of the word is zero, as [`XorCompressor::push_word`]
+    /// leaves it.
+    fn push(&mut self, mut word: u64, mut nbits: u32) {
+        self.ones += word.count_ones() as usize;
+        while nbits > 0 {
+            let bit = word >> 63 == 1;
+            let same = if bit { !word } else { word }.leading_zeros().min(nbits);
+            if self.prev == Some(bit) {
+                self.run += same as usize;
+            } else {
+                self.run = same as usize;
+                self.prev = Some(bit);
+            }
+            self.longest = self.longest.max(self.run);
+            word = word.checked_shl(same).unwrap_or(0);
+            nbits -= same;
+        }
     }
 }
 

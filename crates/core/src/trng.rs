@@ -435,15 +435,24 @@ impl CarryChainTrng {
     /// Advances one accumulation interval and captures every line into
     /// the packed scratch words, returning their XOR and updating the
     /// sample statistics.
+    fn sample_words(&mut self) -> u64 {
+        let xor = self.capture_xor();
+        self.stats.samples += 1;
+        self.record_kind(Snippet::classify_word(xor, self.config.design.m));
+        xor
+    }
+
+    /// [`sample_words`](Self::sample_words) without the statistics,
+    /// which the caller accounts for.
     ///
     /// This is the allocation-free hot path for `m ≤ 64`. It is bit-
     /// and RNG-draw-identical to the `Vec<bool>` pipeline: taps are
     /// captured in the same order through the same metastability
     /// model, only the storage (packed words) and the signal lookup
     /// (resumable [`EdgeCursor`] per line) differ.
-    fn sample_words(&mut self) -> u64 {
+    fn capture_xor(&mut self) -> u64 {
         self.t += self.t_a;
-        let xor = if let Some(engine) = &mut self.engine {
+        if let Some(engine) = &mut self.engine {
             // Batched backend: synthesis up to the sampling window +
             // run-length sampling in one call; metastability coins
             // still come from the TRNG's own RNG in ascending-tap order.
@@ -459,10 +468,7 @@ impl CarryChainTrng {
                 xor ^= word;
             }
             xor
-        };
-        self.stats.samples += 1;
-        self.record_kind(Snippet::classify_word(xor, self.config.design.m));
-        xor
+        }
     }
 
     /// The noise backend actually in effect: [`NoiseBackend::Batched`]
@@ -563,14 +569,50 @@ impl CarryChainTrng {
     /// Equivalent to packing [`CarryChainTrng::generate_raw`] output,
     /// but allocation-free in steady state: the whole
     /// sample→extract→pack pipeline runs on reused scratch words.
+    ///
+    /// For `m ≤ 64` each step samples, decodes and packs a window in
+    /// one loop, and the statistics census (samples, snippet kinds,
+    /// missed edges) is added to [`TrngStats`] once per call; the
+    /// result and the statistics after the call are those of
+    /// [`next_raw_bit`](Self::next_raw_bit) called `8 · out.len()`
+    /// times.
     pub fn fill_raw(&mut self, out: &mut [u8]) {
-        for byte in out {
+        let m = self.config.design.m;
+        if m > 64 {
+            for byte in out {
+                let mut b = 0u8;
+                for _ in 0..8 {
+                    b = b << 1 | u8::from(self.next_raw_bit());
+                }
+                *byte = b;
+            }
+            return;
+        }
+        // Edge mask of `Snippet::classify_word`: bit j flags taps j and
+        // j + 1 differing.
+        let edge_taps = if m < 2 { 0 } else { u64::MAX >> (65 - m) };
+        // Indexed by `Snippet::classify_word`'s taxonomy: no edge,
+        // regular, double edge, bubbled.
+        let mut kinds = [0u64; 4];
+        let mut missed = 0u64;
+        for byte in out.iter_mut() {
             let mut b = 0u8;
             for _ in 0..8 {
-                b = b << 1 | u8::from(self.next_raw_bit());
+                let xor = self.capture_xor();
+                let diff = (xor ^ (xor >> 1)) & edge_taps;
+                let bubbled = diff & (diff >> 1) != 0;
+                kinds[diff.count_ones().min(2) as usize + usize::from(bubbled)] += 1;
+                let decoded = self.extractor.extract_word(xor, m as u32);
+                missed += u64::from(decoded.is_none());
+                b = b << 1 | u8::from(decoded.is_none_or(|e| e.bit));
             }
             *byte = b;
         }
+        self.stats.samples += 8 * out.len() as u64;
+        self.stats.regular += kinds[1];
+        self.stats.double_edge += kinds[2];
+        self.stats.bubbled += kinds[3];
+        self.stats.missed_edges += missed;
     }
 
     /// Fills `out` with post-processed bytes: every output bit is the

@@ -34,6 +34,11 @@ use trng_testkit::json::Json;
 /// Default number of events a pool journal retains.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
+/// [`IncidentEvent::detail`] of a [`IncidentKind::Retire`] whose shard
+/// worker panicked. Above every startup failure mask, so it cannot be
+/// mistaken for a failed (re-)admission test.
+pub const RETIRE_WORKER_PANIC: u64 = 1 << 8;
+
 /// Which physics probe a monitoring event's `detail` word describes —
 /// the exhaustive code set shared by every probe-carrying incident
 /// ([`IncidentKind::JitterDrift`] and
@@ -110,7 +115,8 @@ pub enum IncidentKind {
     Readmit,
     /// The shard left service permanently. For a retirement caused by
     /// a failed (re-)admission test, [`IncidentEvent::detail`] carries
-    /// the startup failure mask.
+    /// the startup failure mask; a worker that panicked retires with
+    /// [`RETIRE_WORKER_PANIC`].
     Retire,
     /// The supervisor spawned this shard as a replacement on a fresh
     /// fabric placement; [`IncidentEvent::detail`] carries the id of
@@ -200,7 +206,8 @@ pub struct IncidentEvent {
     /// Event-specific detail: the startup failure mask for a
     /// retirement caused by a failed (re-)admission test
     /// (see [`trng_core::selftest::StartupReport::failure_mask`]),
-    /// the superseded shard id for a respawn, 0 otherwise.
+    /// [`RETIRE_WORKER_PANIC`] for a worker that panicked, the
+    /// superseded shard id for a respawn, 0 otherwise.
     pub detail: u64,
 }
 

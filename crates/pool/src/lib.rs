@@ -83,7 +83,7 @@ pub use coherence::{
     decode_coherence_detail, goertzel_magnitude, CoherenceConfig, CoherenceResponse, CoherenceStats,
 };
 pub use handle::PoolHandle;
-pub use journal::{IncidentEvent, IncidentKind, Journal, ProbeCode};
+pub use journal::{IncidentEvent, IncidentKind, Journal, ProbeCode, RETIRE_WORKER_PANIC};
 pub use monitor::{DriftProbe, MonitorConfig};
 pub use pool::{ComposedExtract, EntropyPool, PoolConfig, PoolError, RespawnPolicy, SourceSpec};
 pub use shard::{Conditioning, FaultInjection, ShardFault};

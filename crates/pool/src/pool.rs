@@ -17,6 +17,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -564,6 +565,12 @@ enum Backend {
     Inline(Inline),
 }
 
+/// How a pool builds each shard's entropy backend:
+/// `(spec, base, index, seed, deterministic)`. Always [`build_source`]
+/// outside this crate's tests.
+pub(crate) type SourceBuilder =
+    fn(&SourceSpec, &TrngConfig, u32, u64, bool) -> Result<Box<dyn EntropySource>, SourceError>;
+
 /// Builds one shard's entropy backend from its spec. Carry-chain
 /// shards take their own disjoint fabric placement
 /// ([`TrngConfig::for_shard`] at `index`); the other backends ignore
@@ -593,6 +600,7 @@ fn build_source(
 /// `try_fill_bytes`, `wait_online`) — there is no supervisor thread.
 struct Supervisor {
     policy: RespawnPolicy,
+    build: SourceBuilder,
     base: TrngConfig,
     seed: u64,
     conditioning: Conditioning,
@@ -674,6 +682,15 @@ impl EntropyPool {
     /// [`PoolError::NoShards`], [`PoolError::InvalidConfig`], or the
     /// first shard whose TRNG fails to build.
     pub fn new(config: PoolConfig) -> Result<Self, PoolError> {
+        EntropyPool::with_source_builder(config, build_source)
+    }
+
+    /// [`EntropyPool::new`] with every shard's backend, replacements
+    /// included, built by `build`.
+    pub(crate) fn with_source_builder(
+        config: PoolConfig,
+        build: SourceBuilder,
+    ) -> Result<Self, PoolError> {
         if config.shards == 0 {
             return Err(PoolError::NoShards);
         }
@@ -776,7 +793,7 @@ impl EntropyPool {
                 .cloned()
                 .unwrap_or(SourceSpec::CarryChain);
             let seed = mix_seed(config.seed, i as u64);
-            let source = build_source(&spec, &config.base, i as u32, seed, config.deterministic)
+            let source = build(&spec, &config.base, i as u32, seed, config.deterministic)
                 .map_err(|error| PoolError::Build { shard: i, error })?;
             let faults: Vec<FaultInjection> = config
                 .faults
@@ -848,6 +865,7 @@ impl EntropyPool {
         };
         let supervisor = config.respawn.map(|policy| Supervisor {
             policy,
+            build,
             base: config.base,
             seed: config.seed,
             conditioning: config.conditioning,
@@ -977,7 +995,7 @@ impl EntropyPool {
                 .cloned()
                 .unwrap_or(SourceSpec::CarryChain);
             sup.specs.push(spec.clone());
-            let source = build_source(&spec, &sup.base, index, seed, sup.deterministic);
+            let source = (sup.build)(&spec, &sup.base, index, seed, sup.deterministic);
             // The respawn incident is stamped against the *new* shard
             // id, carrying the replaced id in `detail` and the
             // retiree's final simulated time / healthy-byte offset.
@@ -1404,8 +1422,25 @@ impl Drop for EntropyPool {
 }
 
 /// Worker-thread body: drive one shard's lifecycle, pushing healthy
-/// blocks into its ring with backpressure.
+/// blocks into its ring with backpressure. One unwind guard covers the
+/// thread's whole life: a panic anywhere in it retires the shard, so
+/// consumers stop waiting on its ring and the supervisor joins the
+/// thread and respawns the shard like any other retiree.
 fn worker(mut shard: Shard, producer: ring::Producer, stop: Arc<AtomicBool>, block_bytes: usize) {
+    let run = panic::catch_unwind(AssertUnwindSafe(|| {
+        drive_shard(&mut shard, &producer, &stop, block_bytes);
+    }));
+    if run.is_err() {
+        shard.retire_after_panic();
+    }
+}
+
+fn drive_shard(
+    shard: &mut Shard,
+    producer: &ring::Producer,
+    stop: &AtomicBool,
+    block_bytes: usize,
+) {
     let mut pending: Vec<u8> = Vec::new();
     let mut off = 0usize;
     loop {
@@ -1440,8 +1475,9 @@ fn worker(mut shard: Shard, producer: ring::Producer, stop: Arc<AtomicBool>, blo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::RETIRE_WORKER_PANIC;
     use crate::shard::ShardFault;
-    use crate::testing::dead_fault;
+    use crate::testing::{assert_stream_health_clean, dead_fault, PanickingSource};
     use trng_core::trng::TrngConfig;
 
     fn small_pool(shards: usize) -> PoolConfig {
@@ -1690,6 +1726,59 @@ mod tests {
             .find(|e| e.kind == IncidentKind::Respawn)
             .expect("respawn event");
         assert_eq!(respawn.detail, 0, "replaces shard 0");
+    }
+
+    #[test]
+    fn a_panicking_worker_retires_and_is_respawned() {
+        // Shard 0's source panics once 64 Ki raw bits are drawn, well
+        // after admission. The worker must retire the shard rather than
+        // leave it `Online` behind an empty ring; the supervisor then
+        // joins the thread and respawns, so a fill with no deadline
+        // completes. (The deadline here only turns a regression into a
+        // failure instead of a hang.)
+        const PANIC_AFTER: u64 = 1 << 16;
+        let config = PoolConfig::new(TrngConfig::paper_k1(), 1)
+            .with_sources(vec![SourceSpec::OsEntropy])
+            .with_conditioning(Conditioning::Raw)
+            .with_seed(21)
+            .with_respawn(RespawnPolicy::new(1, 1));
+        let mut pool =
+            EntropyPool::with_source_builder(config, |spec, base, index, seed, deterministic| {
+                let source = build_source(spec, base, index, seed, deterministic)?;
+                Ok(if index == 0 {
+                    Box::new(PanickingSource::new(source, PANIC_AFTER))
+                } else {
+                    source
+                })
+            })
+            .expect("pool");
+        let mut sink = vec![0u8; 16 * 1024];
+        pool.try_fill_bytes(&mut sink, Duration::from_secs(60))
+            .expect("the respawned shard must serve the fill");
+        assert_stream_health_clean(&sink);
+        let stats = pool.stats();
+        assert_eq!(stats.workers_joined, 1);
+        assert_eq!(stats.respawns, 1);
+        assert_eq!(stats.shards[0].state, ShardState::Retired);
+        assert!(stats.shards[0].superseded);
+        assert!(stats.shards[0].raw_bits <= PANIC_AFTER);
+        assert_eq!(stats.shards[1].state, ShardState::Online);
+        let story: Vec<_> = stats
+            .journal
+            .iter()
+            .map(|e| (e.shard, e.kind, e.detail))
+            .collect();
+        assert_eq!(
+            story,
+            [
+                (0, IncidentKind::Spawn, 0),
+                (0, IncidentKind::Retire, RETIRE_WORKER_PANIC),
+                (1, IncidentKind::Respawn, 0),
+            ]
+        );
+        let retire = stats.journal[1];
+        assert_eq!(retire.at_bytes, stats.shards[0].bytes_produced);
+        assert_eq!(retire.sim_ns, stats.shards[0].sim_elapsed.as_nanos() as u64);
     }
 
     #[test]

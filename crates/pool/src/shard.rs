@@ -27,7 +27,7 @@ use trng_extract::{leftover_hash_ratio, ToeplitzExtractor};
 use trng_fpga_sim::rng::SimRng;
 use trng_sources::{run_source_startup, EntropySource};
 
-use crate::journal::{IncidentKind, Journal};
+use crate::journal::{IncidentKind, Journal, RETIRE_WORKER_PANIC};
 use crate::monitor::{JitterMonitor, MonitorConfig};
 use crate::stats::{ShardShared, ShardState};
 
@@ -537,6 +537,22 @@ impl Shard {
             self.set_state(ShardState::Retired);
             self.journal_event(IncidentKind::Retire, u64::from(report.failure_mask()));
         }
+    }
+
+    /// Takes the shard out of service after its worker panicked:
+    /// `Retired`, journaled with [`RETIRE_WORKER_PANIC`] and stamped
+    /// with the progress it last published, so nothing is asked of the
+    /// source that may have panicked.
+    pub fn retire_after_panic(&mut self) {
+        self.set_state(ShardState::Retired);
+        let sim_ns = self.shared.snapshot(self.id).sim_elapsed.as_nanos() as u64;
+        self.journal.record(
+            self.id,
+            IncidentKind::Retire,
+            sim_ns,
+            self.bytes_produced,
+            RETIRE_WORKER_PANIC,
+        );
     }
 
     fn raise_alarm(&mut self) {

@@ -1,6 +1,6 @@
 //! Shared fixtures for this workspace's tests and benches: the
-//! scripted dead-source configuration and the delivered-stream checks
-//! every soak applies.
+//! scripted dead-source configuration, a source that panics on cue,
+//! and the delivered-stream checks every soak applies.
 //!
 //! Nothing in the pool itself calls these; they live here so the soaks
 //! (`tests/*_soak.rs`, `tests/serve_e2e.rs`), the unit tests and the
@@ -8,7 +8,9 @@
 
 use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::trng::TrngConfig;
+use trng_fpga_sim::noise::NoiseBackend;
 use trng_model::params::{DesignParams, PlatformParams};
+use trng_sources::{CaptureStats, EntropySource, SourceError, SourceFault, SourceKind};
 
 use crate::shard::{FaultInjection, ShardFault};
 
@@ -38,6 +40,72 @@ pub fn dead_fault(shard: usize, after_bytes: u64, transient: bool) -> FaultInjec
         after_bytes,
         fault: ShardFault::Config(Box::new(dead_config())),
         transient,
+    }
+}
+
+/// A backend that behaves exactly like `inner` until a draw would take
+/// its lifetime raw-bit count past `panic_after`, and then panics: the
+/// scripted crash of a shard worker.
+#[derive(Debug)]
+pub struct PanickingSource {
+    inner: Box<dyn EntropySource>,
+    panic_after: u64,
+}
+
+impl PanickingSource {
+    /// Wraps `inner`, arming the panic at `panic_after` raw bits.
+    pub fn new(inner: Box<dyn EntropySource>, panic_after: u64) -> Self {
+        PanickingSource { inner, panic_after }
+    }
+
+    fn draw(&self, bits: u64) {
+        if self.inner.raw_bits() + bits > self.panic_after {
+            panic!("scripted source panic at {} raw bits", self.panic_after);
+        }
+    }
+}
+
+impl EntropySource for PanickingSource {
+    fn kind(&self) -> SourceKind {
+        self.inner.kind()
+    }
+
+    fn claimed_min_entropy(&self) -> f64 {
+        self.inner.claimed_min_entropy()
+    }
+
+    fn native_xor_rate(&self) -> u32 {
+        self.inner.native_xor_rate()
+    }
+
+    fn next_raw_bit(&mut self) -> bool {
+        self.draw(1);
+        self.inner.next_raw_bit()
+    }
+
+    fn fill_raw(&mut self, out: &mut [u8]) {
+        self.draw(out.len() as u64 * 8);
+        self.inner.fill_raw(out);
+    }
+
+    fn raw_bits(&self) -> u64 {
+        self.inner.raw_bits()
+    }
+
+    fn sim_now_ns(&self) -> u64 {
+        self.inner.sim_now_ns()
+    }
+
+    fn capture_stats(&self) -> CaptureStats {
+        self.inner.capture_stats()
+    }
+
+    fn rebuild(&mut self, fault: Option<&SourceFault>) -> Result<(), SourceError> {
+        self.inner.rebuild(fault)
+    }
+
+    fn noise_backend(&self) -> NoiseBackend {
+        self.inner.noise_backend()
     }
 }
 

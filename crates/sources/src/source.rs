@@ -32,7 +32,7 @@ use std::error::Error;
 
 use trng_core::health::OnlineHealth;
 use trng_core::postprocess::XorCompressor;
-use trng_core::selftest::{StartupReport, STARTUP_BITS};
+use trng_core::selftest::{run_startup, StartupReport, StartupSource};
 use trng_core::trng::{BuildTrngError, TrngConfig};
 use trng_fpga_sim::noise::{AttackInjection, NoiseBackend};
 use trng_fpga_sim::scenario::NoiseEnvironment;
@@ -264,56 +264,34 @@ pub trait EntropySource: fmt::Debug + Send {
     }
 }
 
+impl StartupSource for dyn EntropySource + '_ {
+    fn next_raw_bit(&mut self) -> bool {
+        EntropySource::next_raw_bit(self)
+    }
+
+    fn fill_raw(&mut self, out: &mut [u8]) {
+        EntropySource::fill_raw(self, out);
+    }
+
+    fn capture_counts(&self) -> (u64, u64) {
+        let stats = self.capture_stats();
+        (stats.samples, stats.missed_edges)
+    }
+}
+
 /// Runs the AIS-31-style start-up self-test against any
-/// [`EntropySource`], feeding every raw bit drawn through `health` and
-/// compressing with `compressor` — the source-generic twin of
-/// [`trng_core::selftest::run_startup_test`], with identical checks,
-/// thresholds and draw order (so the carry-chain adapter admits on
-/// exactly the bits the hard-wired pool did).
+/// [`EntropySource`], gating every raw bit drawn through `health` and
+/// compressing with `compressor` — [`trng_core::selftest::run_startup`]
+/// on the backend, so every backend admits through the same checks,
+/// thresholds and draw order as
+/// [`trng_core::selftest::run_startup_test`] (and the carry-chain
+/// adapter on exactly the bits the bare generator would).
 pub fn run_source_startup(
     source: &mut dyn EntropySource,
     health: &mut OnlineHealth,
     compressor: &mut XorCompressor,
 ) -> StartupReport {
-    use trng_core::health::HealthStatus;
-
-    let before = source.capture_stats();
-    let mut collected = 0usize;
-    let mut ones = 0usize;
-    let mut longest_run = 0usize;
-    let mut run = 0usize;
-    let mut prev = None;
-    while collected < STARTUP_BITS {
-        let raw = source.next_raw_bit();
-        let _ = health.push(raw);
-        if let Some(bit) = compressor.push(raw) {
-            ones += usize::from(bit);
-            if prev == Some(bit) {
-                run += 1;
-            } else {
-                run = 1;
-                prev = Some(bit);
-            }
-            longest_run = longest_run.max(run);
-            collected += 1;
-        }
-    }
-    let after = source.capture_stats();
-    let samples = after.samples - before.samples;
-    let missed = after.missed_edges - before.missed_edges;
-    let missed_rate = if samples == 0 {
-        0.0
-    } else {
-        missed as f64 / samples as f64
-    };
-    StartupReport {
-        ones,
-        longest_run,
-        monobit_ok: (899..=1149).contains(&ones),
-        long_run_ok: longest_run < 34,
-        missed_edge_ok: missed_rate < 0.01 || samples < 1000,
-        online_ok: health.status() == HealthStatus::Ok,
-    }
+    run_startup(source, health, compressor)
 }
 
 #[cfg(test)]

@@ -17,6 +17,12 @@ cargo build --release --offline
 echo "==> cargo test --offline"
 cargo test -q --offline
 
+# perfbench is its own package outside the workspace; its self-tests
+# call the APIs the benchmark drives (pool admission, sources, serve),
+# so a change to one of them fails here rather than in a benchmark run.
+echo "==> perfbench self-test"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --all --check

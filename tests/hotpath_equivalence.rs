@@ -5,6 +5,7 @@
 //! change, never a semantic one.
 
 use trng_core::trng::{CarryChainTrng, TrngConfig};
+use trng_fpga_sim::noise::NoiseBackend;
 use trng_model::params::DesignParams;
 
 /// Packs a bit vector MSB-first, 8 bits per byte — the byte
@@ -45,16 +46,19 @@ fn sweep_configs() -> Vec<(TrngConfig, String)> {
 
 #[test]
 fn fill_raw_matches_generate_raw_across_sweep() {
-    for (i, (config, label)) in sweep_configs().into_iter().enumerate() {
-        let seed = 1000 + i as u64;
-        let mut a = CarryChainTrng::new(config.clone(), seed).expect("build");
-        let mut b = CarryChainTrng::new(config, seed).expect("build");
+    for backend in [NoiseBackend::Scalar, NoiseBackend::Batched] {
+        for (i, (config, label)) in sweep_configs().into_iter().enumerate() {
+            let seed = 1000 + i as u64;
+            let config = config.with_noise_backend(backend);
+            let mut a = CarryChainTrng::new(config.clone(), seed).expect("build");
+            let mut b = CarryChainTrng::new(config, seed).expect("build");
 
-        let reference = pack(&a.generate_raw(32 * 8));
-        let mut batch = vec![0u8; 32];
-        b.fill_raw(&mut batch);
-        assert_eq!(batch, reference, "{label} seed {seed}");
-        assert_eq!(a.stats(), b.stats(), "{label} stats diverged");
+            let reference = pack(&a.generate_raw(32 * 8));
+            let mut batch = vec![0u8; 32];
+            b.fill_raw(&mut batch);
+            assert_eq!(batch, reference, "{backend:?} {label} seed {seed}");
+            assert_eq!(a.stats(), b.stats(), "{backend:?} {label} stats diverged");
+        }
     }
 }
 
