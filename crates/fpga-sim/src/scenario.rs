@@ -92,11 +92,11 @@ pub struct ScenarioPhase {
 /// A named, time-scheduled adversarial campaign.
 ///
 /// Phases are strictly ordered by onset; the canonical constructors
-/// below build the campaigns exercised by the adversarial soak and the
-/// `pool_adversarial` bench.
+/// below build the campaigns of the adversarial soak's chaos matrix,
+/// which pins each one's detection latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Human-readable scenario name (stable; used as a benchmark key).
+    /// Human-readable scenario name (stable; used as a test-case key).
     pub name: String,
     /// The scheduled phases, strictly ordered by onset.
     pub phases: Vec<ScenarioPhase>,

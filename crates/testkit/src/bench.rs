@@ -34,10 +34,18 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// Reads a bench knob from the environment: `None` when unset or
-/// unparsable.
+/// Reads a bench knob from the environment: `None` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when the value does not
+/// parse: a typo must not silently run the bench at its default.
 pub fn env<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok()?.parse().ok()
+    let v = std::env::var(name).ok()?;
+    Some(
+        v.parse()
+            .unwrap_or_else(|_| panic!("{name} must parse as a number, got {v:?}")),
+    )
 }
 
 /// Writes `report` as `BENCH_<stem>.json` into `TRNG_BENCH_OUT_DIR`
@@ -474,6 +482,14 @@ mod tests {
         assert!(body.contains("\"group\": \"report_smoke\""), "{body}");
         assert!(body.contains("median_ns"), "{body}");
         std::env::remove_var("TRNG_BENCH_OUT_DIR");
+    }
+
+    #[test]
+    #[should_panic(expected = "TRNG_TESTKIT_UNPARSABLE_KNOB must parse as a number, got \"5x\"")]
+    fn unparsable_knob_panics_with_its_name() {
+        // A variable no other test reads, so no lock is needed.
+        std::env::set_var("TRNG_TESTKIT_UNPARSABLE_KNOB", "5x");
+        let _: Option<usize> = env("TRNG_TESTKIT_UNPARSABLE_KNOB");
     }
 
     #[test]

@@ -40,7 +40,10 @@ use trng_pool::{
 };
 
 /// What a scenario is expected to provoke. Probe codes from the drift
-/// detail word: 1 = differential sigma, 2 = period.
+/// detail word: 1 = differential sigma, 2 = period. A campaign is a
+/// pure function of the configuration and seed, so the first detection
+/// is pinned exactly: `latency_bits` counts the bits the target shard
+/// produced between onset and the journaled drift.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Expected {
     /// The monitor journals a drift; the 90B gate stays silent for the
@@ -48,11 +51,15 @@ enum Expected {
     MonitorOnly {
         /// Expected probe code in the drift detail word.
         probe: u64,
+        /// Exact detection latency in target-shard bits.
+        latency_bits: u64,
     },
     /// Both layers fire, the monitor strictly first.
     MonitorThenAlarm {
         /// Expected probe code in the drift detail word.
         probe: u64,
+        /// Exact detection latency in target-shard bits.
+        latency_bits: u64,
     },
     /// Nothing fires — a documented detection gap.
     Undetected,
@@ -82,26 +89,35 @@ fn thermal_runaway(onset: Ps) -> Scenario {
 }
 
 fn cells() -> Vec<Cell> {
-    let lock = |conditioning, fill| Cell {
+    let lock = |conditioning, fill, latency_bits| Cell {
         scenario: Scenario::injection_locking(ONSET, 1e12 / 480.0, 0.85),
         conditioning,
-        expected: Expected::MonitorOnly { probe: 1 },
+        expected: Expected::MonitorOnly {
+            probe: 1,
+            latency_bits,
+        },
         targets: vec![0],
         fill,
         max_latency: 2048,
     };
-    let ramp = |conditioning, fill, max_latency| Cell {
+    let ramp = |conditioning, fill, max_latency, latency_bits| Cell {
         scenario: Scenario::thermal_ramp(ONSET, 200.0),
         conditioning,
-        expected: Expected::MonitorOnly { probe: 2 },
+        expected: Expected::MonitorOnly {
+            probe: 2,
+            latency_bits,
+        },
         targets: vec![0],
         fill,
         max_latency,
     };
-    let flicker = |conditioning, fill, max_latency| Cell {
+    let flicker = |conditioning, fill, max_latency, latency_bits| Cell {
         scenario: Scenario::flicker_dominated(ONSET, Ps::from_ps(8.0), Ps::from_us(0.2)),
         conditioning,
-        expected: Expected::MonitorOnly { probe: 1 },
+        expected: Expected::MonitorOnly {
+            probe: 1,
+            latency_bits,
+        },
         targets: vec![0],
         fill,
         max_latency,
@@ -115,23 +131,27 @@ fn cells() -> Vec<Cell> {
         max_latency: 0,
     };
     vec![
-        // DesignXor rows: onset = 535 bytes on the target shard.
-        lock(Conditioning::DesignXor, 4096),
-        ramp(Conditioning::DesignXor, 6144, 1024),
-        flicker(Conditioning::DesignXor, 4096, 512),
+        // DesignXor rows: onset = 535 bytes on the target shard, the
+        // detection-latency table of README and DESIGN §12.
+        lock(Conditioning::DesignXor, 4096, 840),
+        ramp(Conditioning::DesignXor, 6144, 1024, 1864),
+        flicker(Conditioning::DesignXor, 4096, 512, 840),
         tone(Conditioning::DesignXor, 4096),
         Cell {
             scenario: thermal_runaway(ONSET),
             conditioning: Conditioning::DesignXor,
-            expected: Expected::MonitorThenAlarm { probe: 2 },
+            expected: Expected::MonitorThenAlarm {
+                probe: 2,
+                latency_bits: 840,
+            },
             targets: vec![0],
             fill: 4096,
             max_latency: 1024,
         },
         // Raw rows: onset = 3750 bytes on the target shard.
-        lock(Conditioning::Raw, 16 * 1024),
-        ramp(Conditioning::Raw, 24 * 1024, 6144),
-        flicker(Conditioning::Raw, 16 * 1024, 3072),
+        lock(Conditioning::Raw, 16 * 1024, 2768),
+        ramp(Conditioning::Raw, 24 * 1024, 6144, 19_152),
+        flicker(Conditioning::Raw, 16 * 1024, 3072, 2768),
         tone(Conditioning::Raw, 16 * 1024),
     ]
 }
@@ -178,7 +198,14 @@ fn first_event(
         .cloned()
 }
 
-fn assert_drift(name: &str, drift: &IncidentEvent, probe: u64, onset: u64, max_latency: u64) {
+fn assert_drift(
+    name: &str,
+    drift: &IncidentEvent,
+    probe: u64,
+    onset: u64,
+    max_latency: u64,
+    latency_bits: u64,
+) {
     assert_eq!(
         drift.detail >> 56,
         probe,
@@ -194,6 +221,11 @@ fn assert_drift(name: &str, drift: &IncidentEvent, probe: u64, onset: u64, max_l
         drift.at_bytes - onset <= max_latency,
         "{name}: detection latency {} bytes exceeds {max_latency}",
         drift.at_bytes - onset
+    );
+    assert_eq!(
+        (drift.at_bytes - onset) * 8,
+        latency_bits,
+        "{name}: detection latency in bits moved"
     );
 }
 
@@ -228,9 +260,12 @@ fn chaos_matrix_fires_the_right_gate_first_and_never_taints_the_stream() {
         let drift = first_event(&stats.journal, target, IncidentKind::JitterDrift);
 
         match cell.expected {
-            Expected::MonitorOnly { probe } => {
+            Expected::MonitorOnly {
+                probe,
+                latency_bits,
+            } => {
                 let drift = drift.unwrap_or_else(|| panic!("{name}: no monitor drift event"));
-                assert_drift(&name, &drift, probe, onset, cell.max_latency);
+                assert_drift(&name, &drift, probe, onset, cell.max_latency, latency_bits);
                 // The whole point: the bit-statistics gate stays silent
                 // while the physics probe fires — for these scenarios
                 // the 90B tests are provably blind (see DESIGN.md §12).
@@ -243,10 +278,13 @@ fn chaos_matrix_fires_the_right_gate_first_and_never_taints_the_stream() {
                     "{name}: drift missing from stats"
                 );
             }
-            Expected::MonitorThenAlarm { probe } => {
+            Expected::MonitorThenAlarm {
+                probe,
+                latency_bits,
+            } => {
                 let drift = drift.unwrap_or_else(|| panic!("{name}: no monitor drift event"));
                 let alarm = alarm.unwrap_or_else(|| panic!("{name}: no health alarm"));
-                assert_drift(&name, &drift, probe, onset, cell.max_latency);
+                assert_drift(&name, &drift, probe, onset, cell.max_latency, latency_bits);
                 assert!(
                     drift.seq < alarm.seq,
                     "{name}: the monitor must journal drift before the 90B alarm"
@@ -339,24 +377,13 @@ fn chaos_matrix_fires_the_right_gate_first_and_never_taints_the_stream() {
 fn chaos_cells_replay_byte_identically() {
     // One representative detected cell and the undetected one: same
     // seed, same campaign => same bytes, same stats, same journal.
-    for cell in [
-        Cell {
-            scenario: Scenario::injection_locking(ONSET, 1e12 / 480.0, 0.85),
-            conditioning: Conditioning::DesignXor,
-            expected: Expected::MonitorOnly { probe: 1 },
-            targets: vec![0],
-            fill: 4096,
-            max_latency: 2048,
-        },
-        Cell {
-            scenario: Scenario::shared_supply_tone(ONSET, 5e6, 0.004),
-            conditioning: Conditioning::DesignXor,
-            expected: Expected::Undetected,
-            targets: vec![0, 1],
-            fill: 4096,
-            max_latency: 0,
-        },
-    ] {
+    for cell in cells().into_iter().filter(|c| {
+        c.conditioning == Conditioning::DesignXor
+            && matches!(
+                c.scenario.name.as_str(),
+                "injection_locking" | "shared_supply_tone"
+            )
+    }) {
         let mut a = pool_for(&cell, 0xD0_0D);
         let mut b = pool_for(&cell, 0xD0_0D);
         let mut x = vec![0u8; cell.fill];
@@ -407,13 +434,16 @@ fn coherence_detector_catches_the_shared_tone_the_gates_miss() {
     // scenario, same amplitude, same conditioning — with the
     // cross-shard detector enabled. The per-shard gates must stay as
     // blind as ever; the quorum rule must fire: 2 of 2 shards, and 2
-    // of 3 with the third shard left out of the quorum mask.
+    // of 3 with the third shard left out of the quorum mask. Each
+    // case pins its exact detection latency in bits.
     let onset = onset_bytes(
         ONSET,
         Conditioning::DesignXor,
         &TrngConfig::paper_k1().design,
     );
-    for (shards, seed, fill) in [(2, 0xAD5A, 8192), (3, 0xC0_4E, 12288)] {
+    for (shards, seed, fill, latency_bits) in
+        [(2, 0xAD5A, 8192, 15_176), (3, 0xC0_4E, 12288, 15_176)]
+    {
         let mut pool = coherence_pool(shards, &[0, 1], CoherenceConfig::new(), seed);
         let mut delivered = vec![0u8; fill];
         pool.fill_bytes(&mut delivered).expect("fill");
@@ -443,6 +473,11 @@ fn coherence_detector_catches_the_shared_tone_the_gates_miss() {
             event.at_bytes - onset <= 2560,
             "detection latency {} bytes exceeds 2560",
             event.at_bytes - onset
+        );
+        assert_eq!(
+            (event.at_bytes - onset) * 8,
+            latency_bits,
+            "{shards}-shard detection latency in bits moved"
         );
         // The packed detail decodes: coherence probe code, the aliased
         // 5 MHz line (bin 6.4 of a 16-sample window at 71.68 us

@@ -6,6 +6,9 @@
 //! Toeplitz pool stream without a single alarm, and the composed
 //! stage's min-entropy claim stays below what it measures.
 //!
+//! A deterministic shard-count sweep pins the simulated-time (Table-2
+//! domain) throughput scaling exactly.
+//!
 //! The first tests run in tier-1 CI; the statistics-battery soak at
 //! the bottom is ignored by default (run with `--ignored`).
 
@@ -158,6 +161,23 @@ fn pool_runs_dry_with_typed_error_when_last_shard_dies() {
     assert_eq!(stats.shards[0].state, ShardState::Retired);
     assert_eq!(stats.shards[0].alarms, 1);
     assert_eq!(stats.shards[0].readmissions, 0);
+
+    // The same persistent death in one of three shards, with no
+    // respawn policy: the survivors carry the tail and nothing is
+    // spawned in its place.
+    let config = PoolConfig::new(TrngConfig::paper_k1(), 3)
+        .with_conditioning(Conditioning::Raw)
+        .with_seed(0xE1A5B)
+        .with_fault(dead_fault(1, 2048, false))
+        .deterministic(true);
+    let mut pool = EntropyPool::new(config).expect("pool");
+    let mut delivered = vec![0u8; 16 * 1024];
+    pool.fill_bytes(&mut delivered).expect("fill");
+    let stats = pool.stats();
+    assert_eq!(stats.shards[1].state, ShardState::Retired);
+    assert_eq!(stats.respawns, 0);
+    assert_eq!(stats.online_shards(), 2);
+    assert_eq!(stats.bytes_delivered, delivered.len() as u64);
 }
 
 #[test]
@@ -250,6 +270,44 @@ fn trimmed_battery_passes_in_tier1() {
         .fill_bytes(&mut replay)
         .expect("fill");
     assert_eq!(replay, stream[..4096], "composed stream must replay");
+}
+
+#[test]
+fn sim_domain_throughput_scales_with_shard_count() {
+    // The paper's Table-2 domain: N shards are N TRNG instances running
+    // in the same simulated window, so simulated-time throughput scales
+    // ~N×, less each shard's start-up test spend. Deterministic pools
+    // make every figure exact (Mb/s, 16 KiB per configuration).
+    const EXPECTED_SIM_MBPS: [(usize, f64); 4] = [
+        (1, 14.065934065934067),
+        (2, 27.705627705627705),
+        (4, 53.78151260504202),
+        (8, 101.58730158730158),
+    ];
+    let mut sim_mbps = Vec::new();
+    for (shards, expected) in EXPECTED_SIM_MBPS {
+        let config = PoolConfig::new(TrngConfig::paper_k1(), shards)
+            .with_conditioning(Conditioning::DesignXor)
+            .with_noise_backend(NoiseBackend::Batched)
+            .with_seed(0xBE4C)
+            .deterministic(true);
+        let mut pool = EntropyPool::new(config).expect("pool");
+        let mut sink = vec![0u8; 16 * 1024];
+        pool.fill_bytes(&mut sink).expect("fill");
+        let stats = pool.stats();
+        assert_eq!(stats.total_alarms(), 0, "{shards} shards alarmed");
+        for s in &stats.shards {
+            assert_eq!(s.noise_backend, NoiseBackend::Batched, "shard {}", s.id);
+        }
+        let mbps = stats.sim_throughput_bps() / 1e6;
+        assert_eq!(mbps, expected, "{shards}-shard simulated Mb/s");
+        sim_mbps.push(mbps);
+    }
+    let speedup4 = sim_mbps[2] / sim_mbps[0];
+    assert!(
+        speedup4 >= 3.0,
+        "4-shard simulated-time speedup {speedup4:.2}x fell below 3x"
+    );
 }
 
 #[test]
