@@ -1820,6 +1820,67 @@ mod tests {
     }
 
     #[test]
+    fn a_replacement_that_fails_to_build_retires_at_once_on_both_backends() {
+        // Shard 0 dies after 128 bytes; its replacement's placement
+        // cannot be built. The attempt spends the budget and retires
+        // the new id on the spot, shard 1 keeps serving until its own
+        // scripted death, and then the pool runs dry with the typed
+        // error.
+        for deterministic in [true, false] {
+            let config = PoolConfig::new(TrngConfig::paper_k1(), 2)
+                .deterministic(deterministic)
+                .with_conditioning(Conditioning::Raw)
+                .with_block_bytes(64)
+                .with_seed(2015)
+                .with_max_readmissions(0)
+                .with_fault(dead_fault(0, 128, false))
+                .with_fault(dead_fault(1, 4096, false))
+                .with_respawn(RespawnPolicy::new(2, 1));
+            let mut pool =
+                EntropyPool::with_source_builder(config, |spec, base, index, seed, det| {
+                    if index >= 2 {
+                        return Err(SourceError::Build("no disjoint placement left".into()));
+                    }
+                    build_source(spec, base, index, seed, det)
+                })
+                .expect("pool");
+            let mut first = vec![0u8; 2048];
+            pool.try_fill_bytes(&mut first, Duration::from_secs(60))
+                .expect("shard 1 serves past the failed respawn");
+            let mut rest = vec![0u8; 1 << 20];
+            match pool.try_fill_bytes(&mut rest, Duration::from_secs(60)) {
+                // Every healthy byte both shards made is delivered.
+                Err(PoolError::SourcesExhausted { filled }) => {
+                    assert_eq!(filled, 128 + 4096 - first.len(), "{deterministic}");
+                }
+                other => panic!("expected exhaustion ({deterministic}), got {other:?}"),
+            }
+            let stats = pool.stats();
+            assert_eq!(stats.respawns, 1);
+            assert_eq!(stats.respawns_available, 0);
+            assert_eq!(stats.shards.len(), 3);
+            assert!(stats.shards[0].superseded);
+            assert_eq!(stats.shards[2].state, ShardState::Retired);
+            assert_eq!(
+                stats.shards[2].origin,
+                crate::stats::ShardOrigin::Respawn { replaces: 0 }
+            );
+            assert_eq!(stats.health(), crate::stats::PoolHealth::Exhausted);
+            let new_id: Vec<_> = stats
+                .journal
+                .iter()
+                .filter(|e| e.shard == 2)
+                .map(|e| (e.kind, e.detail))
+                .collect();
+            assert_eq!(
+                new_id,
+                [(IncidentKind::Respawn, 0), (IncidentKind::Retire, 0)],
+                "{deterministic}"
+            );
+        }
+    }
+
+    #[test]
     fn fault_may_target_replacement_indices_only_with_policy() {
         let fault = || dead_fault(2, 0, false);
         assert!(matches!(
