@@ -20,7 +20,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use trng_core::trng::TrngConfig;
@@ -44,6 +44,9 @@ use crate::stats::{ComposedStats, PoolStats, ShardShared, ShardState};
 /// park/unpark protocol is in DESIGN.md §8, "Transport and
 /// backpressure") — and the admission poll interval.
 const NAP: Duration = Duration::from_micros(200);
+
+/// Per-shard ring capacity in bytes (threaded backend).
+const RING_CAPACITY: usize = 8192;
 
 /// Elastic shard management: when retirements drop the number of
 /// serviceable (non-retired) shards below `online_floor`, the pool's
@@ -307,8 +310,6 @@ pub struct PoolConfig {
     pub seed: u64,
     /// Conditioning between raw bits and pool bytes.
     pub conditioning: Conditioning,
-    /// Per-shard ring capacity in bytes (threaded backend).
-    pub ring_capacity: usize,
     /// Bytes per health-gated production block.
     pub block_bytes: usize,
     /// Alarms a shard may survive (each costs a quarantine plus a
@@ -324,9 +325,6 @@ pub struct PoolConfig {
     pub faults: Vec<FaultInjection>,
     /// Elastic shard management; `None` disables respawning.
     pub respawn: Option<RespawnPolicy>,
-    /// Capacity of the bounded incident journal, in events (rounded up
-    /// to a power of two; oldest events are evicted once exceeded).
-    pub journal_capacity: usize,
     /// Online jitter monitoring; `None` (the default) disables it so
     /// existing replay streams and journals stay byte-identical.
     pub monitor: Option<MonitorConfig>,
@@ -356,13 +354,11 @@ impl PoolConfig {
             shards,
             seed: 0x5EED,
             conditioning: Conditioning::DesignXor,
-            ring_capacity: 8192,
             block_bytes: 256,
             max_readmissions: 2,
             deterministic: false,
             faults: Vec::new(),
             respawn: None,
-            journal_capacity: DEFAULT_JOURNAL_CAPACITY,
             monitor: None,
             sources: Vec::new(),
             composed: None,
@@ -379,12 +375,6 @@ impl PoolConfig {
     /// Sets the conditioning stage, builder-style.
     pub fn with_conditioning(mut self, conditioning: Conditioning) -> Self {
         self.conditioning = conditioning;
-        self
-    }
-
-    /// Sets the per-shard ring capacity, builder-style.
-    pub fn with_ring_capacity(mut self, bytes: usize) -> Self {
-        self.ring_capacity = bytes;
         self
     }
 
@@ -422,12 +412,6 @@ impl PoolConfig {
     /// Enables elastic shard management, builder-style.
     pub fn with_respawn(mut self, policy: RespawnPolicy) -> Self {
         self.respawn = Some(policy);
-        self
-    }
-
-    /// Sets the incident-journal capacity, builder-style.
-    pub fn with_journal_capacity(mut self, events: usize) -> Self {
-        self.journal_capacity = events;
         self
     }
 
@@ -545,19 +529,18 @@ impl Error for PoolError {
 struct Threaded {
     consumers: Vec<ring::Consumer>,
     stop: Arc<AtomicBool>,
-    /// One slot per shard; `None` once the supervisor has joined a
-    /// retired shard's worker.
+    /// One slot per shard; `None` for a shard whose source failed to
+    /// build, and once the supervisor has joined a retired shard's
+    /// worker.
     handles: Vec<Option<JoinHandle<()>>>,
-    ring_capacity: usize,
 }
 
 struct Inline {
-    /// One slot per shard; `None` marks a respawn attempt whose
-    /// placement failed to build (slot kept so indices stay aligned
-    /// with the pool's `shared` vector).
+    /// One slot per shard; `None` marks a shard whose source failed to
+    /// build (slot kept so indices stay aligned with the pool's
+    /// `shared` vector).
     shards: Vec<Option<Shard>>,
     queues: Vec<VecDeque<u8>>,
-    block_bytes: usize,
 }
 
 enum Backend {
@@ -576,7 +559,7 @@ pub(crate) type SourceBuilder =
 /// ([`TrngConfig::for_shard`] at `index`); the other backends ignore
 /// the base config. `deterministic` pools get the seeded OS stand-in
 /// so replay stays a pure function of the configuration.
-fn build_source(
+pub(crate) fn build_source(
     spec: &SourceSpec,
     base: &TrngConfig,
     index: u32,
@@ -594,27 +577,59 @@ fn build_source(
     })
 }
 
-/// State of the elastic-management supervisor: everything needed to
-/// build a replacement shard, plus the budget/backoff bookkeeping.
-/// Supervision piggybacks on consumer calls (`fill_bytes`,
-/// `try_fill_bytes`, `wait_online`) — there is no supervisor thread.
-struct Supervisor {
-    policy: RespawnPolicy,
-    build: SourceBuilder,
+/// How the pool starts a shard at any id, initial or replacement: the
+/// [`PoolConfig`] fields it still needs after construction, the source
+/// builder, and the source spec per id.
+pub(crate) struct ShardRecipe {
     base: TrngConfig,
     seed: u64,
-    conditioning: Conditioning,
+    pub(crate) conditioning: Conditioning,
     block_bytes: usize,
-    max_readmissions: u32,
-    monitor: Option<MonitorConfig>,
-    faults: Vec<FaultInjection>,
+    pub(crate) max_readmissions: u32,
+    deterministic: bool,
+    /// The whole fault schedule; each shard keeps the faults aimed at
+    /// its id.
+    pub(crate) faults: Vec<FaultInjection>,
+    pub(crate) monitor: Option<MonitorConfig>,
+    build: SourceBuilder,
     /// Source spec per shard id, replacements included: a respawn
     /// inherits the spec of the shard it supersedes, so a dead
     /// dual-oscillator shard is replaced by a dual-oscillator shard.
     specs: Vec<SourceSpec>,
-    deterministic: bool,
-    /// Next fresh fabric placement index.
-    next_index: u32,
+}
+
+impl ShardRecipe {
+    pub(crate) fn new(config: &PoolConfig, build: SourceBuilder) -> Self {
+        ShardRecipe {
+            base: config.base.clone(),
+            seed: config.seed,
+            conditioning: config.conditioning,
+            block_bytes: config.block_bytes,
+            max_readmissions: config.max_readmissions,
+            deterministic: config.deterministic,
+            faults: config.faults.clone(),
+            monitor: config.monitor.clone(),
+            build,
+            specs: if config.sources.is_empty() {
+                vec![SourceSpec::CarryChain; config.shards]
+            } else {
+                config.sources.clone()
+            },
+        }
+    }
+
+    /// Shard `id`'s seed, drawn from the pool seed.
+    pub(crate) fn shard_seed(&self, id: usize) -> u64 {
+        mix_seed(self.seed, id as u64)
+    }
+}
+
+/// Respawn bookkeeping of the elastic-management supervisor: the
+/// policy, its spent budget and the backoff timer. Supervision
+/// piggybacks on consumer calls (`fill_bytes`, `try_fill_bytes`,
+/// `wait_online`) — there is no supervisor thread.
+struct Supervisor {
+    policy: RespawnPolicy,
     /// Respawns already spent.
     used: u32,
     last_attempt: Option<Instant>,
@@ -646,6 +661,7 @@ pub struct EntropyPool {
     fill_calls: u64,
     max_refill_wait: Duration,
     journal: Arc<Journal>,
+    recipe: ShardRecipe,
     supervisor: Option<Supervisor>,
     workers_joined: u64,
     /// Pool-level composed extract stage, when configured.
@@ -781,118 +797,113 @@ impl EntropyPool {
                 )));
             }
         }
-        let journal = Arc::new(Journal::new(config.journal_capacity));
-        let shared: Vec<Arc<ShardShared>> = (0..config.shards)
-            .map(|_| Arc::new(ShardShared::default()))
-            .collect();
-        let mut shards = Vec::with_capacity(config.shards);
-        for (i, shared_i) in shared.iter().enumerate() {
-            let spec = config
-                .sources
-                .get(i)
-                .cloned()
-                .unwrap_or(SourceSpec::CarryChain);
-            let seed = mix_seed(config.seed, i as u64);
-            let source = build(&spec, &config.base, i as u32, seed, config.deterministic)
-                .map_err(|error| PoolError::Build { shard: i, error })?;
-            let faults: Vec<FaultInjection> = config
-                .faults
-                .iter()
-                .filter(|f| f.shard == i)
-                .cloned()
-                .collect();
-            let shard = Shard::new(
-                i,
-                source,
-                seed,
-                config.conditioning,
-                faults,
-                config.max_readmissions,
-                config.monitor.clone(),
-                Arc::clone(shared_i),
-                Arc::clone(&journal),
-            );
-            journal.record(i, IncidentKind::Spawn, 0, 0, 0);
-            shards.push(shard);
+        let journal = Arc::new(Journal::new(DEFAULT_JOURNAL_CAPACITY));
+        // Every initial spawn is journaled before the first worker
+        // starts, so no worker's event can come before one.
+        for id in 0..config.shards {
+            journal.record(id, IncidentKind::Spawn, 0, 0, 0);
         }
-
-        // The composed claim is anchored to the weakest input: every
-        // interleaved bit carries at least the minimum per-source
-        // claim, which the leftover-hash sizing then consumes.
-        let composed = config.composed.map(|c| {
-            let input_claim = shared
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.snapshot(i).claimed_min_entropy)
-                .fold(f64::INFINITY, f64::min);
-            ComposedStage::new(c, config.seed, input_claim)
-        });
-
         let backend = if config.deterministic {
             Backend::Inline(Inline {
-                queues: shards.iter().map(|_| VecDeque::new()).collect(),
-                shards: shards.into_iter().map(Some).collect(),
-                block_bytes: config.block_bytes,
+                shards: Vec::with_capacity(config.shards),
+                queues: Vec::with_capacity(config.shards),
             })
         } else {
-            let stop = Arc::new(AtomicBool::new(false));
-            let mut consumers = Vec::with_capacity(config.shards);
-            let mut handles = Vec::with_capacity(config.shards);
-            for shard in shards {
-                let (producer, consumer) = ring::ring(config.ring_capacity);
-                consumers.push(consumer);
-                let stop = Arc::clone(&stop);
-                let block_bytes = config.block_bytes;
-                let name = format!("trng-pool-shard-{}", shard.id());
-                let handle = std::thread::Builder::new()
-                    .name(name)
-                    .spawn(move || worker(shard, producer, stop, block_bytes))
-                    .expect("spawn pool worker");
-                handles.push(Some(handle));
-            }
             Backend::Threaded(Threaded {
-                consumers,
-                stop,
-                handles,
-                ring_capacity: config.ring_capacity,
+                consumers: Vec::with_capacity(config.shards),
+                stop: Arc::new(AtomicBool::new(false)),
+                handles: Vec::with_capacity(config.shards),
             })
         };
-
-        let specs = if config.sources.is_empty() {
-            vec![SourceSpec::CarryChain; config.shards]
-        } else {
-            config.sources
-        };
-        let supervisor = config.respawn.map(|policy| Supervisor {
-            policy,
-            build,
-            base: config.base,
-            seed: config.seed,
-            conditioning: config.conditioning,
-            block_bytes: config.block_bytes,
-            max_readmissions: config.max_readmissions,
-            monitor: config.monitor,
-            faults: config.faults,
-            specs,
-            deterministic: config.deterministic,
-            next_index: config.shards as u32,
-            used: 0,
-            last_attempt: None,
-        });
-
-        Ok(EntropyPool {
-            shared,
+        let mut pool = EntropyPool {
+            shared: Vec::with_capacity(config.shards),
             backend,
             rr: 0,
             bytes_delivered: 0,
             fill_calls: 0,
             max_refill_wait: Duration::ZERO,
             journal,
-            supervisor,
+            recipe: ShardRecipe::new(&config, build),
+            supervisor: config.respawn.map(|policy| Supervisor {
+                policy,
+                used: 0,
+                last_attempt: None,
+            }),
             workers_joined: 0,
-            composed,
+            composed: None,
             coherence: config.coherence.map(CoherenceDetector::new),
-        })
+        };
+        for shard in 0..config.shards {
+            pool.spawn_shard(Duration::ZERO)
+                .map_err(|error| PoolError::Build { shard, error })?;
+        }
+        // The composed claim is anchored to the weakest input: every
+        // interleaved bit carries at least the minimum per-source
+        // claim, which the leftover-hash sizing then consumes.
+        pool.composed = config.composed.map(|c| {
+            let input_claim = pool
+                .shared
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.snapshot(i).claimed_min_entropy)
+                .fold(f64::INFINITY, f64::min);
+            ComposedStage::new(c, config.seed, input_claim)
+        });
+        Ok(pool)
+    }
+
+    /// Starts the next shard id from the recipe: builds its source,
+    /// wraps it in a [`Shard`] and attaches it to the backend — a ring
+    /// plus a worker thread that first waits out `settle` (threaded),
+    /// or a slot plus a queue (inline). A source that fails to build
+    /// gets the empty slot instead, so every per-shard vector stays
+    /// index-aligned with `shared`, and its error is handed back: the
+    /// caller decides whether it fails construction or retires the id.
+    fn spawn_shard(&mut self, settle: Duration) -> Result<(), SourceError> {
+        let id = self.shared.len();
+        let recipe = &self.recipe;
+        let shared = Arc::new(ShardShared::default());
+        self.shared.push(Arc::clone(&shared));
+        let built = (recipe.build)(
+            &recipe.specs[id],
+            &recipe.base,
+            id as u32,
+            recipe.shard_seed(id),
+            recipe.deterministic,
+        )
+        .map(|source| Shard::new(id, source, recipe, shared, Arc::clone(&self.journal)));
+        let (shard, result) = match built {
+            Ok(shard) => (Some(shard), Ok(())),
+            Err(error) => (None, Err(error)),
+        };
+        match &mut self.backend {
+            Backend::Threaded(threaded) => {
+                // Without a worker the producer drops at once, and a
+                // producer-less ring reads permanently empty.
+                let (producer, consumer) = ring::ring(RING_CAPACITY);
+                threaded.consumers.push(consumer);
+                let stop = Arc::clone(&threaded.stop);
+                let block_bytes = recipe.block_bytes;
+                threaded.handles.push(shard.map(|shard| {
+                    thread::Builder::new()
+                        .name(format!("trng-pool-shard-{id}"))
+                        .spawn(move || {
+                            // Let a fresh placement settle before its
+                            // admission gate runs.
+                            if !settle.is_zero() {
+                                thread::sleep(settle);
+                            }
+                            worker(shard, producer, stop, block_bytes)
+                        })
+                        .expect("spawn pool worker")
+                }));
+            }
+            Backend::Inline(inline) => {
+                inline.shards.push(shard);
+                inline.queues.push(VecDeque::new());
+            }
+        }
+        result
     }
 
     /// Number of shards (in any state, replacements included).
@@ -960,22 +971,9 @@ impl EntropyPool {
                 }
             }
             sup.used += 1;
-            let index = sup.next_index;
-            sup.next_index += 1;
             sup.last_attempt = Some(Instant::now());
-            let id = index as usize;
-            let seed = mix_seed(sup.seed, u64::from(index));
-            let conditioning = sup.conditioning;
-            let block_bytes = sup.block_bytes;
-            let max_readmissions = sup.max_readmissions;
-            let monitor = sup.monitor.clone();
             let settle = sup.policy.settle;
-            let faults: Vec<FaultInjection> = sup
-                .faults
-                .iter()
-                .filter(|f| f.shard == id)
-                .cloned()
-                .collect();
+            let id = self.shared.len();
             // The lowest-index retiree not yet superseded is the shard
             // this replacement stands in for. (One always exists when
             // the serviceable count is below the floor.)
@@ -989,13 +987,13 @@ impl EntropyPool {
             // retiree (carry-chain replacements still get a fresh
             // fabric placement at the new index); record the new
             // shard's spec so replacements-of-replacements inherit too.
-            let spec = sup
+            let spec = self
+                .recipe
                 .specs
                 .get(replaced)
                 .cloned()
                 .unwrap_or(SourceSpec::CarryChain);
-            sup.specs.push(spec.clone());
-            let source = (sup.build)(&spec, &sup.base, index, seed, sup.deterministic);
+            self.recipe.specs.push(spec);
             // The respawn incident is stamped against the *new* shard
             // id, carrying the replaced id in `detail` and the
             // retiree's final simulated time / healthy-byte offset.
@@ -1008,76 +1006,20 @@ impl EntropyPool {
                 replaced_snap.as_ref().map_or(0, |s| s.bytes_produced),
                 replaced as u64,
             );
-            let new_shared = Arc::new(ShardShared::default());
-            new_shared.mark_respawned(replaced);
-            let shard = source.map(|source| {
-                Shard::new(
-                    id,
-                    source,
-                    seed,
-                    conditioning,
-                    faults,
-                    max_readmissions,
-                    monitor,
-                    Arc::clone(&new_shared),
-                    Arc::clone(&self.journal),
-                )
-            });
             if let Some(s) = self.shared.get(replaced) {
                 s.set_superseded();
             }
-            match shard {
-                Ok(shard) => {
-                    self.shared.push(Arc::clone(&new_shared));
-                    match &mut self.backend {
-                        Backend::Threaded(threaded) => {
-                            let (producer, consumer) = ring::ring(threaded.ring_capacity);
-                            threaded.consumers.push(consumer);
-                            let stop = Arc::clone(&threaded.stop);
-                            let name = format!("trng-pool-shard-{id}");
-                            let handle = std::thread::Builder::new()
-                                .name(name)
-                                .spawn(move || {
-                                    // Let the fresh placement settle
-                                    // before its admission gate runs.
-                                    if !settle.is_zero() {
-                                        std::thread::sleep(settle);
-                                    }
-                                    worker(shard, producer, stop, block_bytes)
-                                })
-                                .expect("spawn pool worker");
-                            threaded.handles.push(Some(handle));
-                        }
-                        Backend::Inline(inline) => {
-                            inline.shards.push(Some(shard));
-                            inline.queues.push(VecDeque::new());
-                        }
-                    }
-                    spawned = true;
-                }
-                Err(_) => {
-                    // The fresh placement could not even be built (the
-                    // fabric ran out of disjoint columns): the attempt
-                    // still costs budget and stays auditable as an
-                    // immediate retirement of the new id.
-                    new_shared.set_state(ShardState::Retired);
-                    self.shared.push(new_shared);
-                    match &mut self.backend {
-                        Backend::Threaded(threaded) => {
-                            // Keep the per-shard vectors index-aligned
-                            // with `shared`: a producer-less ring reads
-                            // permanently empty.
-                            let (_producer, consumer) = ring::ring(threaded.ring_capacity);
-                            threaded.consumers.push(consumer);
-                            threaded.handles.push(None);
-                        }
-                        Backend::Inline(inline) => {
-                            inline.shards.push(None);
-                            inline.queues.push(VecDeque::new());
-                        }
-                    }
-                    self.journal.record(id, IncidentKind::Retire, 0, 0, 0);
-                }
+            let started = self.spawn_shard(settle);
+            self.shared[id].mark_respawned(replaced);
+            if started.is_ok() {
+                spawned = true;
+            } else {
+                // The fresh placement could not even be built (the
+                // fabric ran out of disjoint columns): the attempt
+                // still costs budget and stays auditable as an
+                // immediate retirement of the new id.
+                self.shared[id].set_state(ShardState::Retired);
+                self.journal.record(id, IncidentKind::Retire, 0, 0, 0);
             }
         }
     }
@@ -1095,9 +1037,10 @@ impl EntropyPool {
             self.supervise();
             // The inline backend drives admission synchronously.
             if let Backend::Inline(inline) = &mut self.backend {
+                let mut block = Vec::new();
                 for shard in inline.shards.iter_mut().flatten() {
                     while shard.state() == ShardState::Starting {
-                        shard.recover();
+                        shard.step(&mut block, self.recipe.block_bytes);
                     }
                 }
             }
@@ -1298,6 +1241,7 @@ impl EntropyPool {
         while filled < dest.len() {
             let spawned = self.supervise();
             let rr = self.rr;
+            let block_bytes = self.recipe.block_bytes;
             let Backend::Inline(inline) = &mut self.backend else {
                 unreachable!("inline fill dispatched on threaded backend");
             };
@@ -1322,20 +1266,10 @@ impl EntropyPool {
                 let Some(shard) = inline.shards[i].as_mut() else {
                     continue;
                 };
-                match shard.state() {
-                    ShardState::Online => {
-                        if shard.produce_block(&mut block, inline.block_bytes) {
-                            inline.queues[i].extend(block.drain(..));
-                        }
-                        progressed = true;
-                        break;
-                    }
-                    ShardState::Starting | ShardState::Quarantined => {
-                        shard.recover();
-                        progressed = true;
-                        break;
-                    }
-                    ShardState::Retired => {}
+                if shard.step(&mut block, block_bytes) {
+                    inline.queues[i].extend(block.drain(..));
+                    progressed = true;
+                    break;
                 }
             }
             if !progressed {
@@ -1456,19 +1390,10 @@ fn drive_shard(
                 continue;
             }
         }
-        match shard.state() {
-            ShardState::Online => {
-                if shard.produce_block(&mut pending, block_bytes) {
-                    off = 0;
-                } else {
-                    // Alarm: the block was discarded inside the shard.
-                    pending.clear();
-                    off = 0;
-                }
-            }
-            ShardState::Starting | ShardState::Quarantined => shard.recover(),
-            ShardState::Retired => return,
+        if !shard.step(&mut pending, block_bytes) {
+            return;
         }
+        off = 0;
     }
 }
 

@@ -28,7 +28,8 @@ use trng_fpga_sim::rng::SimRng;
 use trng_sources::{run_source_startup, EntropySource};
 
 use crate::journal::{IncidentKind, Journal, RETIRE_WORKER_PANIC};
-use crate::monitor::{JitterMonitor, MonitorConfig};
+use crate::monitor::JitterMonitor;
+use crate::pool::ShardRecipe;
 use crate::stats::{ShardShared, ShardState};
 
 /// How an injected fault replaces a shard's entropy source — the
@@ -393,26 +394,27 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Wraps a built entropy source in the lifecycle machine. `seed`
-    /// only derives the jitter monitor's rng lane — the source itself
-    /// was seeded by whoever built it.
-    #[allow(clippy::too_many_arguments)]
+    /// Wraps shard `id`'s built entropy source in the lifecycle
+    /// machine, with the conditioning, alarm budget, faults and monitor
+    /// of `recipe`. The shard seed only derives the Toeplitz matrix and
+    /// the jitter monitor's rng lane — the source itself was seeded by
+    /// whoever built it.
     pub fn new(
         id: usize,
         source: Box<dyn EntropySource>,
-        seed: u64,
-        conditioning: Conditioning,
-        faults: Vec<FaultInjection>,
-        max_readmissions: u32,
-        monitor: Option<MonitorConfig>,
+        recipe: &ShardRecipe,
         shared: Arc<ShardShared>,
         journal: Arc<Journal>,
     ) -> Self {
+        let seed = recipe.shard_seed(id);
+        let conditioning = recipe.conditioning;
         let native_rate = source.native_xor_rate();
         let claim = source.claimed_min_entropy();
         let conditioner = Conditioner::new(conditioning, native_rate, seed);
-        let monitor =
-            monitor.map(|m| JitterMonitor::new(m, SimRng::seed_from(mix_seed(seed, 0x4_D017))));
+        let monitor = recipe
+            .monitor
+            .clone()
+            .map(|m| JitterMonitor::new(m, SimRng::seed_from(mix_seed(seed, 0x4_D017))));
         shared.set_state(ShardState::Starting);
         shared.set_source(source.kind(), claim, source.noise_backend());
         shared.set_conditioning(conditioning.encode_label());
@@ -425,12 +427,14 @@ impl Shard {
             conditioner,
             state: ShardState::Starting,
             alarms: 0,
-            max_readmissions,
-            faults: faults
-                .into_iter()
+            max_readmissions: recipe.max_readmissions,
+            faults: recipe
+                .faults
+                .iter()
+                .filter(|f| f.shard == id)
                 .map(|f| PendingFault {
                     after_bytes: f.after_bytes,
-                    fault: f.fault,
+                    fault: f.fault.clone(),
                     transient: f.transient,
                     applied: false,
                 })
@@ -441,10 +445,6 @@ impl Shard {
             journal,
             monitor,
         }
-    }
-
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     pub fn state(&self) -> ShardState {
@@ -488,10 +488,33 @@ impl Shard {
         );
     }
 
+    /// Advances the lifecycle by one step: an `Online` shard produces
+    /// one block, a `Starting` or `Quarantined` one runs its admission
+    /// attempt, and a `Retired` one does nothing. Leaves `out` holding
+    /// the step's healthy bytes — a clean block of `block_bytes`, or
+    /// nothing. Returns `false` only for a retired shard, which has
+    /// nothing left to do.
+    pub fn step(&mut self, out: &mut Vec<u8>, block_bytes: usize) -> bool {
+        match self.state {
+            ShardState::Online => {
+                self.produce_block(out, block_bytes);
+            }
+            ShardState::Starting | ShardState::Quarantined => {
+                out.clear();
+                self.recover();
+            }
+            ShardState::Retired => {
+                out.clear();
+                return false;
+            }
+        }
+        true
+    }
+
     /// Drives one admission or re-admission attempt. Call while the
     /// shard is `Starting` or `Quarantined`; transitions to `Online`
     /// or `Retired`.
-    pub fn recover(&mut self) {
+    fn recover(&mut self) {
         debug_assert!(matches!(
             self.state,
             ShardState::Starting | ShardState::Quarantined
@@ -574,7 +597,7 @@ impl Shard {
     /// `out` (cleared first). Returns `true` on a clean block; on any
     /// continuous-test alarm the whole block is discarded, the shard
     /// transitions per the lifecycle rules and `false` is returned.
-    pub fn produce_block(&mut self, out: &mut Vec<u8>, block_bytes: usize) -> bool {
+    fn produce_block(&mut self, out: &mut Vec<u8>, block_bytes: usize) -> bool {
         debug_assert_eq!(self.state, ShardState::Online);
         out.clear();
         // An externally requested alarm (coherence-detector escalation
@@ -678,6 +701,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{build_source, PoolConfig};
     use crate::testing::{dead_config, dead_fault};
     use trng_core::trng::TrngConfig;
     use trng_sources::CarryChainSource;
@@ -694,19 +718,30 @@ mod tests {
         Box::new(CarryChainSource::new(config, seed).expect("build"))
     }
 
+    /// A one-shard pool configuration conditioning with `conditioning`.
+    fn pool(conditioning: Conditioning) -> PoolConfig {
+        PoolConfig::new(TrngConfig::paper_k1(), 1).with_conditioning(conditioning)
+    }
+
+    /// Shard 0 of a pool built from `config`, running on `source`.
+    fn start(
+        source: Box<dyn EntropySource>,
+        config: PoolConfig,
+        shared: &Arc<ShardShared>,
+        journal: &Arc<Journal>,
+    ) -> Shard {
+        let recipe = ShardRecipe::new(&config, build_source);
+        Shard::new(0, source, &recipe, Arc::clone(shared), Arc::clone(journal))
+    }
+
     #[test]
     fn healthy_shard_comes_online_and_produces() {
         let s = shared();
-        let mut shard = Shard::new(
-            0,
+        let mut shard = start(
             src(TrngConfig::paper_k1(), 42),
-            42,
-            Conditioning::DesignXor,
-            Vec::new(),
-            2,
-            None,
-            Arc::clone(&s),
-            journal(),
+            pool(Conditioning::DesignXor),
+            &s,
+            &journal(),
         );
         assert_eq!(shard.state(), ShardState::Starting);
         shard.recover();
@@ -728,17 +763,7 @@ mod tests {
     fn dead_source_is_retired_at_admission() {
         let s = shared();
         let j = journal();
-        let mut shard = Shard::new(
-            0,
-            src(dead_config(), 7),
-            7,
-            Conditioning::Raw,
-            Vec::new(),
-            2,
-            None,
-            Arc::clone(&s),
-            Arc::clone(&j),
-        );
+        let mut shard = start(src(dead_config(), 7), pool(Conditioning::Raw), &s, &j);
         shard.recover();
         assert_eq!(shard.state(), ShardState::Retired);
         assert_eq!(s.snapshot(0).startup_runs, 1);
@@ -755,16 +780,11 @@ mod tests {
         let s = shared();
         let j = journal();
         let fault = dead_fault(0, 128, true);
-        let mut shard = Shard::new(
-            0,
+        let mut shard = start(
             src(TrngConfig::paper_k1(), 42),
-            42,
-            Conditioning::DesignXor,
-            vec![fault],
-            2,
-            None,
-            Arc::clone(&s),
-            Arc::clone(&j),
+            pool(Conditioning::DesignXor).with_fault(fault),
+            &s,
+            &j,
         );
         shard.recover();
         assert_eq!(shard.state(), ShardState::Online);
@@ -815,16 +835,11 @@ mod tests {
         let s = shared();
         let fault = dead_fault(0, 0, false);
         let j = journal();
-        let mut shard = Shard::new(
-            0,
+        let mut shard = start(
             src(TrngConfig::paper_k1(), 42),
-            42,
-            Conditioning::DesignXor,
-            vec![fault],
-            2,
-            None,
-            Arc::clone(&s),
-            Arc::clone(&j),
+            pool(Conditioning::DesignXor).with_fault(fault),
+            &s,
+            &j,
         );
         shard.recover();
         assert_eq!(shard.state(), ShardState::Online);
@@ -853,16 +868,13 @@ mod tests {
         let s = shared();
         let fault = dead_fault(0, 0, false);
         // Zero re-admissions allowed: first alarm retires outright.
-        let mut shard = Shard::new(
-            0,
+        let mut shard = start(
             src(TrngConfig::paper_k1(), 42),
-            42,
-            Conditioning::DesignXor,
-            vec![fault],
-            0,
-            None,
-            Arc::clone(&s),
-            journal(),
+            pool(Conditioning::DesignXor)
+                .with_fault(fault)
+                .with_max_readmissions(0),
+            &s,
+            &journal(),
         );
         shard.recover();
         let mut block = Vec::new();
@@ -878,16 +890,13 @@ mod tests {
         let s = shared();
         let j = journal();
         let mk_fault = |after_bytes| dead_fault(0, after_bytes, true);
-        let mut shard = Shard::new(
-            0,
+        let mut shard = start(
             src(TrngConfig::paper_k1(), 42),
-            42,
-            Conditioning::DesignXor,
-            vec![mk_fault(256), mk_fault(0)],
-            4,
-            None,
-            Arc::clone(&s),
-            Arc::clone(&j),
+            pool(Conditioning::DesignXor)
+                .with_faults(vec![mk_fault(256), mk_fault(0)])
+                .with_max_readmissions(4),
+            &s,
+            &j,
         );
         shard.recover();
         let mut block = Vec::new();
@@ -925,17 +934,7 @@ mod tests {
         // Raw packs every raw bit; DesignXor consumes np per bit.
         let mk = |mode| {
             let s = shared();
-            let mut shard = Shard::new(
-                0,
-                src(TrngConfig::paper_k1(), 9),
-                9,
-                mode,
-                Vec::new(),
-                2,
-                None,
-                Arc::clone(&s),
-                journal(),
-            );
+            let mut shard = start(src(TrngConfig::paper_k1(), 9), pool(mode), &s, &journal());
             shard.recover();
             assert_eq!(shard.state(), ShardState::Online);
             let mut block = Vec::new();
@@ -961,16 +960,11 @@ mod tests {
         );
         let s = shared();
         let fault = dead_fault(0, 0, true);
-        let mut shard = Shard::new(
-            0,
+        let mut shard = start(
             Box::new(trng_sources::TraceReplaySource::new(trace).expect("valid")),
-            3,
-            Conditioning::Raw,
-            vec![fault],
-            2,
-            None,
-            Arc::clone(&s),
-            journal(),
+            pool(Conditioning::Raw).with_fault(fault),
+            &s,
+            &journal(),
         );
         shard.recover();
         assert_eq!(shard.state(), ShardState::Online);
