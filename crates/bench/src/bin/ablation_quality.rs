@@ -1,6 +1,5 @@
-//! Quality ablations of the design choices DESIGN.md calls out —
-//! the statistical counterpart of `benches/ablation.rs` (which
-//! measures simulation cost):
+//! Quality ablations of the design choices DESIGN.md calls out,
+//! judged by the entropy estimates of the bits each variant produces:
 //!
 //! 1. bubble-filter strategy (paper: priority decode);
 //! 2. clock-region placement constraint (paper Section 5.2);

@@ -817,8 +817,6 @@ mod tests {
     fn json_form_matches_struct_field_for_field() {
         let stats = sample_stats();
         let json = stats.to_json();
-        // The Display form is this JSON, so it carries every field too.
-        assert_eq!(stats.to_string(), json.to_string_pretty());
         let f = |k: &str| json.get(k).and_then(Json::as_f64).expect(k);
         assert_eq!(f("bytes_delivered"), stats.bytes_delivered as f64);
         assert_eq!(f("fill_calls"), stats.fill_calls as f64);
@@ -941,6 +939,14 @@ mod tests {
     }
 
     #[test]
+    fn display_and_json_agree_on_shared_fields() {
+        // The Display form is the JSON form, so every field the JSON
+        // test checks is printed with the same value.
+        let stats = sample_stats();
+        assert_eq!(stats.to_string(), stats.to_json().to_string_pretty());
+    }
+
+    #[test]
     fn health_classifies_lifecycle_mixtures() {
         let mut stats = sample_stats();
         stats.respawns_available = 0;
@@ -1006,6 +1012,34 @@ mod tests {
             Some("respawn")
         );
         assert_eq!(shards[1].get("replaces").and_then(Json::as_f64), Some(0.0));
+    }
+
+    #[test]
+    fn display_renders_every_shard() {
+        // A fresh snapshot, before its shard has published anything,
+        // still renders in full.
+        let stats = PoolStats {
+            shards: vec![ShardShared::default().snapshot(0)],
+            bytes_delivered: 0,
+            fill_calls: 0,
+            max_refill_wait: Duration::ZERO,
+            respawns: 0,
+            respawns_available: 0,
+            workers_joined: 0,
+            journal: Vec::new(),
+            journal_recorded: 0,
+            composed: None,
+            coherence: None,
+        };
+        let json = stats.to_json();
+        let shards = json.get("shards").and_then(Json::as_arr).expect("shards");
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].get("id").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(
+            shards[0].get("state").and_then(Json::as_str),
+            Some("starting")
+        );
+        assert!(json.get("journal").is_some());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   failing-seed reporting and single-seed replay via
 //!   `TRNG_PROP_SEED`. Replaces `proptest` (no shrinking by design —
 //!   a failing seed reproduces the exact case).
-//! * [`bench`](mod@bench) — a micro-benchmark timer harness (warmup, N samples,
-//!   median/p95, JSON reports written to `BENCH_<group>.json`) with a
-//!   criterion-shaped API. Replaces `criterion`.
+//! * [`bench`](mod@bench) — what the `harness = false` bench targets
+//!   share: a knob reader that panics on an unparsable value, and the
+//!   writer of their `BENCH_<name>.json` reports.
 //! * [`json`] — a tiny JSON writer used by the bench reports (the
 //!   workspace's serialization shim; replaces the optional `serde`
 //!   derives, which were removed).
