@@ -2,8 +2,8 @@
 //!
 //! Every crate in this workspace builds and tests **offline**: no
 //! registry crates, no network, no non-determinism that cannot be
-//! pinned by a seed. This crate supplies the three pieces of
-//! infrastructure that external crates used to provide:
+//! pinned by a seed. This crate supplies the infrastructure that
+//! external crates used to provide:
 //!
 //! * [`prng`] — a seedable xoshiro256++ generator plus the small
 //!   `rand`-style trait surface ([`prng::Rng`], [`prng::RngCore`],
