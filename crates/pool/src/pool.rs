@@ -2086,6 +2086,36 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `bytes`: a compact fingerprint for pinned streams.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn composed_stream_digest_is_pinned() {
+        use trng_fpga_sim::noise::NoiseBackend;
+        // Scalar noise pins the interleaved input; the digest then pins
+        // how the composed stage turns it into output bytes.
+        let config = PoolConfig::new(
+            TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Scalar),
+            2,
+        )
+        .deterministic(true)
+        .with_block_bytes(64)
+        .with_seed(2015)
+        .with_conditioning(Conditioning::Raw)
+        .with_composed_extract(ComposedExtract::new(32, 7));
+        let mut pool = EntropyPool::new(config).expect("pool");
+        let mut stream = vec![0u8; 4096];
+        // Uneven requests leave composed bytes buffered between fills.
+        for chunk in stream.chunks_mut(1000) {
+            pool.fill_bytes(chunk).expect("fill");
+        }
+        assert_eq!(fnv1a(&stream), 0x1ebe_3ea9_c8af_7307);
+    }
+
     #[test]
     fn composed_exhaustion_keeps_the_partial_prefix_contract() {
         let fault = dead_fault(0, 4096, false);
