@@ -217,20 +217,20 @@ impl ComposedStage {
     /// matching shard byte assembly); completed 64-bit blocks land in
     /// the output buffer as 8 bytes each.
     fn absorb(&mut self, input: &[u8]) {
-        for &byte in input {
-            for j in 0..8 {
-                let bit = byte >> (7 - j) & 1 == 1;
-                if let Some(word) = self.extractor.push(bit) {
-                    // Output bit `y_i` is stream bit `i`: byte `k`'s
-                    // MSB is `y_(8k)`, i.e. each little-endian byte of
-                    // the word bit-reversed.
-                    for k in 0..8 {
-                        let out = ((word >> (8 * k)) as u8).reverse_bits();
-                        self.counts[out as usize] += 1;
-                        self.out.push_back(out);
-                    }
-                    self.bytes_extracted += 8;
+        // Big-endian words put the stream-first bit at bit 63, the
+        // order `push_word` expects; a short tail fills the top bytes.
+        for chunk in input.chunks(8) {
+            let mut bytes = [0u8; 8];
+            bytes[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_be_bytes(bytes);
+            if let Some(y) = self.extractor.push_word(word, 8 * chunk.len() as u32) {
+                // Output bit `y_i` is stream bit `i`: reversed, `y_0`
+                // takes the MSB of the first byte.
+                for out in y.reverse_bits().to_be_bytes() {
+                    self.counts[out as usize] += 1;
+                    self.out.push_back(out);
                 }
+                self.bytes_extracted += 8;
             }
         }
     }
@@ -2114,6 +2114,34 @@ mod tests {
             pool.fill_bytes(chunk).expect("fill");
         }
         assert_eq!(fnv1a(&stream), 0x1ebe_3ea9_c8af_7307);
+    }
+
+    #[test]
+    fn composed_absorb_matches_the_per_bit_extractor() {
+        let input: Vec<u8> = (0..997u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        let mut stage = ComposedStage::new(ComposedExtract::new(32, 7).with_ratio(3), 2015, 0.5);
+        let mut oracle = stage.extractor.clone();
+        // 13-byte pieces end every other word in a 5-byte tail.
+        for piece in input.chunks(13) {
+            stage.absorb(piece);
+        }
+        let mut expected = Vec::new();
+        for &byte in &input {
+            for j in 0..8 {
+                if let Some(y) = oracle.push(byte >> (7 - j) & 1 == 1) {
+                    expected.extend((0..8).map(|k| ((y >> (8 * k)) as u8).reverse_bits()));
+                }
+            }
+        }
+        assert_eq!(expected.len(), 997 * 8 / 192 * 8);
+        assert_eq!(stage.out.iter().copied().collect::<Vec<_>>(), expected);
+        assert_eq!(stage.bytes_extracted, expected.len() as u64);
+        assert_eq!(
+            stage.extractor.pending_input_bits(),
+            oracle.pending_input_bits()
+        );
     }
 
     #[test]
