@@ -361,11 +361,10 @@ impl CarryChainTrng {
                 u64::from(placement.oscillator_site(0).y),
             ),
             history_window: history,
-            backend: config.noise_backend,
+            backend: NoiseBackend::Scalar,
         };
-        let ro_config_for_engine = ro_config.clone();
-        let oscillator =
-            RingOscillator::new(ro_config, rng.fork()).map_err(BuildTrngError::Oscillator)?;
+        let oscillator = RingOscillator::new(ro_config.clone(), rng.fork())
+            .map_err(BuildTrngError::Oscillator)?;
 
         let lines: Vec<TappedDelayLine> = (0..n)
             .map(|i| {
@@ -391,15 +390,21 @@ impl CarryChainTrng {
         let t_a = Ps::from_ps(config.design.t_a_ps());
 
         // Batched backend: build the sample-synchronous engine from the
-        // same ring configuration and placed lines. Unsupported layouts
-        // (wide lines, non-monotone taps, a sampling window that could
-        // hold more edges per node than the engine keeps) silently fall
-        // back to the scalar oscillator, which still uses block-
-        // ziggurat normals.
-        let engine = if config.noise_backend == NoiseBackend::Batched && m <= 64 {
-            BatchedRingEngine::new(&ro_config_for_engine, &lines, rng.fork()).ok()
-        } else {
-            None
+        // same ring configuration and placed lines. A layout the engine
+        // refuses (wide lines, non-monotone taps, a sampling window that
+        // could hold more edges per node than the engine keeps) runs
+        // the scalar oscillator exactly as if `Scalar` had been named:
+        // the engine's fork comes from a copy, kept only on success.
+        let engine = match config.noise_backend {
+            NoiseBackend::Batched => {
+                let mut ahead = rng.clone();
+                let engine = BatchedRingEngine::new(&ro_config, &lines, ahead.fork()).ok();
+                if engine.is_some() {
+                    rng = ahead;
+                }
+                engine
+            }
+            NoiseBackend::Scalar => None,
         };
 
         Ok(CarryChainTrng {
@@ -888,9 +893,17 @@ mod tests {
         let batched = TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Batched);
         let mut fast = batched.clone();
         fast.platform.d0_lut_ps = 20.0;
-        let mut trng = CarryChainTrng::new(fast, 3).expect("build");
+        let mut trng = CarryChainTrng::new(fast.clone(), 3).expect("build");
         assert_eq!(trng.active_noise_backend(), NoiseBackend::Scalar);
-        assert_eq!(trng.generate_raw(16).len(), 16);
+        let raw = trng.generate_raw(16);
+        assert_eq!(raw.len(), 16);
+        // The label is exact: the refused build runs the very stream
+        // and census of an instance that names the scalar engine.
+        let scalar = fast.with_noise_backend(NoiseBackend::Scalar);
+        let mut oracle = CarryChainTrng::new(scalar, 3).expect("build");
+        assert_eq!(raw, oracle.generate_raw(16));
+        assert_eq!(trng.generate_raw(4096), oracle.generate_raw(4096));
+        assert_eq!(trng.stats(), oracle.stats());
         let paper = CarryChainTrng::new(batched, 3).expect("build");
         assert_eq!(paper.active_noise_backend(), NoiseBackend::Batched);
     }

@@ -78,8 +78,7 @@
 //! more than 64 taps per line, tap instants that are not monotone
 //! non-increasing, a line/stage count mismatch, or a sampling window
 //! that could hold more edges than a node's array — and callers fall
-//! back to the scalar oscillator (which still benefits from the
-//! block-ziggurat tier when the backend knob is on).
+//! back to the scalar oscillator, Box–Muller draws and all.
 
 use crate::delay_line::{range_mask, TappedDelayLine};
 use crate::noise::{NoiseBackend, NoiseConfig};
@@ -300,7 +299,6 @@ impl BatchedRingEngine {
                 n
             ));
         }
-        rng.enable_batched_normals();
         let (bx, by) = config.base_site;
         let nominal: Vec<f64> = (0..n)
             .map(|i| {
@@ -376,6 +374,7 @@ impl BatchedRingEngine {
             ));
         }
 
+        rng.enable_batched_normals();
         let white_sigma = config.noise.white.sigma().as_ps();
         // The wall-clock span of one flicker window: FLICKER_WINDOW
         // events of one mean stage delay each.

@@ -46,9 +46,10 @@ pub struct RingOscillatorConfig {
     pub base_site: (u64, u64),
     /// How much transition history each node retains.
     pub history_window: Ps,
-    /// How noise variates are synthesised ([`NoiseBackend::Scalar`]
-    /// is the replay-exact default; [`NoiseBackend::Batched`] swaps
-    /// Gaussian draws to the block ziggurat).
+    /// Unread: the oscillator always draws scalar Box–Muller normals,
+    /// and the batched engine ([`crate::batch::BatchedRingEngine`])
+    /// is chosen through `TrngConfig`, not here. Kept only because
+    /// existing callers still construct it.
     pub backend: NoiseBackend,
 }
 
@@ -172,12 +173,6 @@ impl RingOscillator {
     /// Returns the validation message for an invalid configuration.
     pub fn new(config: RingOscillatorConfig, mut rng: SimRng) -> Result<Self, String> {
         config.validate()?;
-        if config.backend == NoiseBackend::Batched {
-            // Gaussian draws (white jitter, flicker innovations) switch
-            // to the block ziggurat; the draw sequence changes but the
-            // distributions do not.
-            rng.enable_batched_normals();
-        }
         let n = config.stages;
         let (bx, by) = config.base_site;
         let stages: Vec<LutDelay> = (0..n)
