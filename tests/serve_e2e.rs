@@ -214,17 +214,25 @@ fn drain_completes_in_flight_requests_then_refuses_connections() {
     let config = PoolConfig::new(TrngConfig::paper_k1(), 2)
         .with_conditioning(Conditioning::Raw)
         .with_seed(0xD12A);
+    // A one-byte burst refilled at FETCH bytes/s throttles the request
+    // for about a second: the worker sleeps inside it, whatever the
+    // speed of the fill that follows.
     let server = Server::start(
         online_handle(config),
-        ServeConfig::default().with_drain_deadline(Duration::from_secs(30)),
+        ServeConfig::default()
+            .with_drain_deadline(Duration::from_secs(30))
+            .with_quota(QuotaConfig::new(f64::from(FETCH), 1)),
     )
     .expect("server");
     let addr = server.local_addr();
 
     let fetcher =
         std::thread::spawn(move || client::fetch(addr, FETCH).expect("in-flight fetch survives"));
-    // Let the request reach the pool, then drain under it.
-    std::thread::sleep(Duration::from_millis(150));
+    // Drain once the worker is inside the request, sleeping out its
+    // quota deficit.
+    while server.stats().throttle_events == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let report = server.shutdown();
 
     let bytes = fetcher.join().expect("client thread");
