@@ -55,11 +55,6 @@ impl ToeplitzMatrix {
         ToeplitzMatrix { m, n, diag }
     }
 
-    /// Output bits per block.
-    pub fn output_bits(&self) -> usize {
-        self.m
-    }
-
     /// Input bits per block.
     pub fn input_bits(&self) -> usize {
         self.n

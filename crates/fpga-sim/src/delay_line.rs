@@ -143,15 +143,6 @@ impl TappedDelayLine {
         self.bin_widths.is_empty()
     }
 
-    /// Width of bin `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn bin_width(&self, j: usize) -> Ps {
-        self.bin_widths[j]
-    }
-
     /// All bin widths.
     pub fn bin_widths(&self) -> &[Ps] {
         &self.bin_widths

@@ -280,18 +280,6 @@ impl SimRng {
         }
     }
 
-    /// Creates a generator seeded from operating-system entropy.
-    ///
-    /// Use only for exploratory runs; experiments should use
-    /// [`SimRng::seed_from`] for reproducibility.
-    pub fn from_os_entropy() -> Self {
-        SimRng {
-            inner: StdRng::from_entropy(),
-            spare: None,
-            batched: None,
-        }
-    }
-
     /// Switches normal draws to the batched block-ziggurat backend.
     ///
     /// Batched normals are *statistically* identical to the scalar

@@ -100,12 +100,6 @@ impl MonitorConfig {
         self.interval_bytes = bytes;
         self
     }
-
-    /// Sets the per-observation run count, builder-style.
-    pub fn with_runs(mut self, runs: usize) -> Self {
-        self.runs = runs;
-        self
-    }
 }
 
 /// Which probe tripped, encoded into the journal event's detail word

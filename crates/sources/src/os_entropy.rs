@@ -92,11 +92,6 @@ impl OsEntropySource {
         }
     }
 
-    /// Whether this instance replays deterministically.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self.backing, Backing::Seeded { .. })
-    }
-
     fn refill(&mut self) {
         self.buf.resize(BUF_BYTES, 0);
         match &mut self.backing {
