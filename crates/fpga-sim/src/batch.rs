@@ -345,8 +345,17 @@ impl BatchedRingEngine {
             // (edge ± w), plus a bucket of slack on either side.
             let split_base = (off[m - 1] - 2.0 * w).floor() - 1.0;
             let buckets = (off[0] + 2.0 * w - split_base).ceil() as usize + 2;
+            // `off` is non-increasing, so the taps at or past a
+            // threshold are a prefix that shrinks as it rises.
+            let mut at_or_past = m;
             let split = (0..buckets)
-                .map(|b| off.iter().filter(|&&o| o >= split_base + b as f64).count() as u8)
+                .map(|b| {
+                    let threshold = split_base + b as f64;
+                    while at_or_past > 0 && off[at_or_past - 1] < threshold {
+                        at_or_past -= 1;
+                    }
+                    at_or_past as u8
+                })
                 .collect();
             taps.push(LineTaps {
                 skew,
