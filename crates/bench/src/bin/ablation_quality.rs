@@ -12,7 +12,7 @@
 //! cargo run --release -p trng-bench --bin ablation_quality [-- --bits 40000]
 //! ```
 
-use trng_bench::arg_usize;
+use trng_bench::{arg_usize, scalar};
 use trng_core::bubble::BubbleFilter;
 use trng_core::postprocess::XorCompressor;
 use trng_core::trng::{CarryChainTrng, TrngConfig};
@@ -39,7 +39,7 @@ fn main() {
         ("majority3", BubbleFilter::Majority3),
         ("none", BubbleFilter::None),
     ] {
-        let cfg = TrngConfig::paper_k1().with_bubble_filter(filter);
+        let cfg = scalar(TrngConfig::paper_k1()).with_bubble_filter(filter);
         let mut trng = CarryChainTrng::new(cfg, 1).expect("valid");
         let raw = trng.generate_raw(bits);
         let (h, m) = stats_of(&raw);
@@ -52,7 +52,7 @@ fn main() {
     // 2. Clock-region placement.
     println!("\n2. clock-region constraint (chain rows 1..=9 vs 12..=20):");
     for (label, first_row) in [("single region (paper)", 1u32), ("crosses boundary", 12u32)] {
-        let mut cfg = TrngConfig::paper_k1();
+        let mut cfg = scalar(TrngConfig::paper_k1());
         cfg.first_row = first_row;
         let mut trng = CarryChainTrng::new(cfg, 2).expect("valid");
         let raw = trng.generate_raw(bits);
@@ -62,7 +62,7 @@ fn main() {
 
     // 3. XOR vs Von Neumann post-processing.
     println!("\n3. post-processing (same {bits}-bit raw stream, k = 1):");
-    let mut trng = CarryChainTrng::new(TrngConfig::paper_k1(), 3).expect("valid");
+    let mut trng = CarryChainTrng::new(scalar(TrngConfig::paper_k1()), 3).expect("valid");
     let raw = trng.generate_raw(bits);
     let (h_raw, m_raw) = stats_of(&raw);
     println!("   raw                H(bias) = {h_raw:.4}  H(markov) = {m_raw:.4}  rate = 1.000");
@@ -86,7 +86,7 @@ fn main() {
     // 4. Flicker amplitude.
     println!("\n4. flicker-noise amplitude (sigma of the OU delay process):");
     for sigma_fl in [0.0f64, 0.5, 2.0, 8.0] {
-        let mut cfg = TrngConfig::paper_k1();
+        let mut cfg = scalar(TrngConfig::paper_k1());
         cfg.flicker = if sigma_fl == 0.0 {
             None
         } else {
@@ -103,7 +103,7 @@ fn main() {
     // 5. Ring length.
     println!("\n5. ring length n (the model says n is irrelevant to entropy):");
     for n in [3usize, 5, 7] {
-        let cfg = TrngConfig::paper_k1().with_design(DesignParams {
+        let cfg = scalar(TrngConfig::paper_k1()).with_design(DesignParams {
             n,
             ..DesignParams::paper_k1()
         });
@@ -121,7 +121,8 @@ fn main() {
     let mut h_values = Vec::new();
     let mut total_missed = 0u64;
     for dev in 0..20u64 {
-        let cfg = TrngConfig::paper_k1().with_device(trng_fpga_sim::process::DeviceSeed::new(dev));
+        let cfg = scalar(TrngConfig::paper_k1())
+            .with_device(trng_fpga_sim::process::DeviceSeed::new(dev));
         let mut trng = CarryChainTrng::new(cfg, 600 + dev).expect("valid");
         let raw = trng.generate_raw(bits / 2);
         let (h, _) = stats_of(&raw);
@@ -148,7 +149,7 @@ fn main() {
     .expect("valid");
     let str_bits = str_trng.generate(bits);
     let (h_str, m_str) = stats_of(&str_bits);
-    let mut cc = CarryChainTrng::new(TrngConfig::paper_k1(), 8).expect("valid");
+    let mut cc = CarryChainTrng::new(scalar(TrngConfig::paper_k1()), 8).expect("valid");
     let cc_bits = cc.generate_raw(bits);
     let (h_cc, m_cc) = stats_of(&cc_bits);
     println!(

@@ -15,7 +15,7 @@
 //! cargo run --release -p trng-bench --bin design_steps
 //! ```
 
-use trng_bench::arg_usize;
+use trng_bench::{arg_usize, scalar};
 use trng_core::resources::estimate;
 use trng_core::trng::{CarryChainTrng, TrngConfig};
 use trng_fpga_sim::delay_line::TappedDelayLine;
@@ -75,7 +75,7 @@ fn main() {
         let mut missed = 0u64;
         let mut total = 0u64;
         for dev in 0..6u64 {
-            let mut cfg = TrngConfig::paper_k1().with_design(DesignParams {
+            let mut cfg = scalar(TrngConfig::paper_k1()).with_design(DesignParams {
                 m,
                 ..DesignParams::paper_k1()
             });
@@ -130,7 +130,7 @@ fn main() {
     println!("  model-suggested XOR rate for bias <= 1e-4: np = {np}");
 
     println!("\n=== Step 3: FPGA implementation (simulated) ===");
-    let mut config = TrngConfig::paper_k1();
+    let mut config = scalar(TrngConfig::paper_k1());
     config.device = device;
     let trng = CarryChainTrng::new(config.clone(), 7).expect("valid config");
     let breakdown = estimate(&design);

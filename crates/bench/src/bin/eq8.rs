@@ -17,7 +17,7 @@
 //! cargo run --release -p trng-bench --bin eq8 [-- --bits 20000]
 //! ```
 
-use trng_bench::arg_usize;
+use trng_bench::{arg_usize, scalar};
 use trng_core::elementary::{ElementaryConfig, ElementaryTrng};
 use trng_core::trng::{CarryChainTrng, TrngConfig};
 use trng_fpga_sim::time::Ps;
@@ -60,7 +60,7 @@ fn main() {
     // Carry-chain TRNG at its model-required tA (ideal TDC so the
     // comparison isolates the extraction method, like the model does).
     let n_a = (t_carry.as_ns() / 10.0).ceil() as u32;
-    let cfg = TrngConfig::ideal().with_design(trng_model::params::DesignParams {
+    let cfg = scalar(TrngConfig::ideal()).with_design(trng_model::params::DesignParams {
         n_a: n_a.max(1),
         ..trng_model::params::DesignParams::paper_k1()
     });

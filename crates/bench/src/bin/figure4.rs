@@ -10,13 +10,13 @@
 //! cargo run --release -p trng-bench --bin figure4 [-- --samples 20000]
 //! ```
 
-use trng_bench::arg_usize;
+use trng_bench::{arg_usize, scalar};
 use trng_core::snippet::{Snippet, SnippetKind};
 use trng_core::trng::{CarryChainTrng, TrngConfig};
 
 fn main() {
     let samples = arg_usize("--samples", 20_000);
-    let config = TrngConfig::paper_k1();
+    let config = scalar(TrngConfig::paper_k1());
     let mut trng = CarryChainTrng::new(config, 2015).expect("valid config");
 
     let mut examples: Vec<(SnippetKind, Snippet)> = Vec::new();

@@ -14,7 +14,7 @@
 //! larger values to tighten the statistics. EXPERIMENTS.md records the
 //! deviation and the comparison against the paper's rows.
 
-use trng_bench::{arg_usize, render_table, table1_row, DEFAULT_SEQUENCES, DEFAULT_SEQ_LEN};
+use trng_bench::{arg_usize, render_table, scalar, table1_row, DEFAULT_SEQUENCES, DEFAULT_SEQ_LEN};
 use trng_core::trng::TrngConfig;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         "table1: {sequences} sequences x {seq_len} post-processed bits per (k, tA, np) point"
     );
 
-    let base = TrngConfig::paper_k1();
+    let base = scalar(TrngConfig::paper_k1());
     // The paper's rows: (k, N_A) with tA = N_A * 10 ns.
     let rows_spec: [(u32, u32); 6] = [(1, 1), (1, 2), (4, 1), (4, 5), (4, 10), (4, 20)];
     let mut rows = Vec::new();

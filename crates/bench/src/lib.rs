@@ -12,6 +12,7 @@
 
 use trng_core::postprocess::XorCompressor;
 use trng_core::trng::{CarryChainTrng, TrngConfig};
+use trng_fpga_sim::noise::NoiseBackend;
 use trng_model::params::DesignParams;
 use trng_stattests::assessment::assess;
 use trng_stattests::bits::BitVec;
@@ -26,6 +27,14 @@ pub const DEFAULT_SEQ_LEN: usize = 50_000;
 
 /// Maximum XOR compression rate explored, matching Table 1's "> 16".
 pub const MAX_NP: u32 = 16;
+
+/// `config` on the scalar noise engine. The seeded runs that
+/// EXPERIMENTS.md records were made on it, so every binary that
+/// simulates the TRNG starts from a configuration passed through here
+/// and keeps reproducing them byte for byte.
+pub fn scalar(config: TrngConfig) -> TrngConfig {
+    config.with_noise_backend(NoiseBackend::Scalar)
+}
 
 /// Generates `count` raw bits from a fresh TRNG instance.
 ///

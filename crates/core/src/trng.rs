@@ -63,13 +63,13 @@ pub struct TrngConfig {
     /// Flip-flop metastability half-aperture (ignored when
     /// `ideal_tdc`).
     pub meta_window: Ps,
-    /// How run-time noise is synthesised. [`NoiseBackend::Scalar`]
-    /// (default) keeps the replay-exact draw sequence;
-    /// [`NoiseBackend::Batched`] synthesises only what each sample can
-    /// see — one Gaussian jump across the ring transitions before the
-    /// TDC window, then the few transitions inside it — statistically
-    /// equivalent, roughly ten times faster per raw bit, but not
-    /// byte-identical to scalar streams.
+    /// How run-time noise is synthesised. [`NoiseBackend::Batched`]
+    /// (default) synthesises only what each sample can see — one
+    /// Gaussian jump across the ring transitions before the TDC
+    /// window, then the few transitions inside it — roughly ten times
+    /// faster per raw bit than [`NoiseBackend::Scalar`], the
+    /// replay-exact oracle that byte pins name, and statistically
+    /// equivalent to it but not byte-identical.
     pub noise_backend: NoiseBackend,
 }
 
@@ -93,7 +93,7 @@ impl TrngConfig {
             // CARRY4 bins, reproducing Figure 4 (c) bubbles; see
             // `CaptureFf::default`.
             meta_window: Ps::from_ps(9.0),
-            noise_backend: NoiseBackend::Scalar,
+            noise_backend: NoiseBackend::Batched,
         }
     }
 
@@ -135,7 +135,9 @@ impl TrngConfig {
         self
     }
 
-    /// Sets the noise-synthesis backend, builder-style.
+    /// Sets the noise-synthesis backend, builder-style. Naming
+    /// [`NoiseBackend::Scalar`] here is the one way to reach the
+    /// replay oracle; every layer above inherits this field.
     pub fn with_noise_backend(mut self, backend: NoiseBackend) -> Self {
         self.noise_backend = backend;
         self

@@ -31,30 +31,30 @@ use crate::time::Ps;
 
 /// How run-time noise variates are synthesised.
 ///
-/// * [`NoiseBackend::Scalar`] — the replay/golden oracle: one
-///   Box–Muller draw per transition event, in the exact sequence every
-///   byte-identical stream, trace, and journal in this repository is
-///   pinned to. The default.
-/// * [`NoiseBackend::Batched`] — ziggurat Gaussians filled from bulk
-///   word output and, in the carry-chain engine, sample-synchronous
-///   synthesis (one Gaussian jump across the transitions no tap sees,
-///   then only the sampling window). *Statistically* identical to
-///   `Scalar` (same distributions, same OU recurrence, same modulation
-///   formulas evaluated at the actual event times) but not
-///   draw-identical, so replay contracts do not hold. Roughly an order
-///   of magnitude faster per raw bit.
+/// * [`NoiseBackend::Batched`] — the production engine and the
+///   default: ziggurat Gaussians filled from bulk word output and, in
+///   the carry-chain engine, sample-synchronous synthesis (one
+///   Gaussian jump across the transitions no tap sees, then only the
+///   sampling window). *Statistically* identical to `Scalar` (same
+///   distributions, same OU recurrence, same modulation formulas
+///   evaluated at the actual event times) but not draw-identical.
+///   Roughly an order of magnitude faster per raw bit.
+/// * [`NoiseBackend::Scalar`] — the replay oracle: one Box–Muller
+///   draw per transition event, in the exact sequence the golden
+///   vectors, recorded experiment runs and same-process reference
+///   gates are pinned to. Reached only by naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NoiseBackend {
     /// Scalar per-event Box–Muller synthesis (replay-exact).
-    #[default]
     Scalar,
     /// Block ziggurat + sample-synchronous edge synthesis
     /// (statistically equivalent, not draw-identical).
+    #[default]
     Batched,
 }
 
 impl NoiseBackend {
-    /// Stable lower-case name, used in CLI flags and metrics JSON.
+    /// Stable lower-case name, used in metrics JSON.
     pub fn as_str(self) -> &'static str {
         match self {
             NoiseBackend::Scalar => "scalar",
@@ -70,33 +70,12 @@ impl NoiseBackend {
         }
     }
 
-    /// Inverse of [`NoiseBackend::as_u8`] (unknown values decode as the
-    /// scalar default).
+    /// Inverse of [`NoiseBackend::as_u8`] (unknown values decode as
+    /// `Scalar`).
     pub fn from_u8(v: u8) -> Self {
         match v {
             1 => NoiseBackend::Batched,
             _ => NoiseBackend::Scalar,
-        }
-    }
-}
-
-impl std::fmt::Display for NoiseBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for NoiseBackend {
-    type Err = String;
-
-    /// Parses the CLI spelling ([`NoiseBackend::as_str`]).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(NoiseBackend::Scalar),
-            "batched" => Ok(NoiseBackend::Batched),
-            other => Err(format!(
-                "unknown noise backend {other:?} (expected \"scalar\" or \"batched\")"
-            )),
         }
     }
 }

@@ -97,6 +97,6 @@ pub use trng_extract::{
 // Source-building vocabulary re-exported so pool consumers configure
 // heterogeneous mixes without naming `trng-sources` themselves.
 pub use trng_sources::{DualOscConfig, RecordedTrace, SourceError, SourceKind};
-// The noise-synthesis knob ([`PoolConfig::with_noise_backend`]),
-// re-exported for the same reason.
+// The noise-engine label every shard publishes, re-exported for the
+// same reason.
 pub use trng_fpga_sim::noise::NoiseBackend;

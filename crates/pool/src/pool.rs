@@ -450,19 +450,6 @@ impl PoolConfig {
         self.coherence = Some(coherence);
         self
     }
-
-    /// Selects the noise-synthesis backend for every carry-chain shard
-    /// (including supervisor-spawned replacements), builder-style.
-    /// The scalar default keeps pool streams byte-identical to replay
-    /// fixtures; the batched engine is statistically equivalent but an
-    /// order of magnitude faster per raw bit. Dual-oscillator shards
-    /// opt in separately through
-    /// [`DualOscConfig::with_backend`]; trace replay and the OS pool
-    /// have no simulated noise to synthesise.
-    pub fn with_noise_backend(mut self, backend: trng_fpga_sim::noise::NoiseBackend) -> Self {
-        self.base = self.base.with_noise_backend(backend);
-        self
-    }
 }
 
 /// Why the pool cannot serve bytes.
@@ -1934,8 +1921,7 @@ mod tests {
     #[test]
     fn noise_backend_knob_labels_carry_chain_shards() {
         use trng_fpga_sim::noise::NoiseBackend;
-        let config = small_pool(2).with_noise_backend(NoiseBackend::Batched);
-        let mut pool = EntropyPool::new(config).expect("pool");
+        let mut pool = EntropyPool::new(small_pool(2)).expect("pool");
         let mut buf = [0u8; 512];
         pool.fill_bytes(&mut buf).expect("fill");
         let stats = pool.stats();
@@ -1948,10 +1934,15 @@ mod tests {
             );
             assert!(s.bytes_produced > 0);
         }
-        // The default stays scalar-labelled and produces the pinned
-        // replay stream, which the batched engine must diverge from
-        // (statistically equivalent, not draw-identical).
-        let mut scalar = EntropyPool::new(small_pool(2)).expect("pool");
+        // A base config that names the scalar oracle is scalar-labelled
+        // and produces the pinned replay stream, which the batched
+        // engine must diverge from (statistically equivalent, not
+        // draw-identical).
+        let config = PoolConfig {
+            base: TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Scalar),
+            ..small_pool(2)
+        };
+        let mut scalar = EntropyPool::new(config).expect("pool");
         let mut pinned = [0u8; 512];
         scalar.fill_bytes(&mut pinned).expect("fill");
         assert!(scalar
@@ -1960,6 +1951,27 @@ mod tests {
             .iter()
             .all(|s| s.noise_backend == NoiseBackend::Scalar));
         assert_ne!(buf, pinned);
+    }
+
+    #[test]
+    fn batched_is_the_default_engine_at_every_layer() {
+        use trng_fpga_sim::noise::NoiseBackend;
+        assert_eq!(NoiseBackend::default(), NoiseBackend::Batched);
+        assert_eq!(TrngConfig::default().noise_backend, NoiseBackend::Batched);
+        assert_eq!(TrngConfig::paper_k1().noise_backend, NoiseBackend::Batched);
+        // A plain threaded pool over the paper's design labels every
+        // shard with the engine it runs.
+        let mut pool = EntropyPool::new(PoolConfig::new(TrngConfig::paper_k1(), 2)).expect("pool");
+        pool.wait_online(Duration::from_secs(60)).expect("online");
+        let stats = pool.stats();
+        assert_eq!(stats.shards.len(), 2);
+        assert!(
+            stats
+                .shards
+                .iter()
+                .all(|s| s.noise_backend == NoiseBackend::Batched),
+            "{stats}"
+        );
     }
 
     #[test]
@@ -2098,13 +2110,10 @@ mod tests {
         use trng_fpga_sim::noise::NoiseBackend;
         // Scalar noise pins the interleaved input; the digest then pins
         // how the composed stage turns it into output bytes.
-        let config = PoolConfig::new(
-            TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Scalar),
-            2,
-        )
-        .deterministic(true)
-        .with_block_bytes(64)
-        .with_seed(2015)
+        let config = PoolConfig {
+            base: TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Scalar),
+            ..small_pool(2)
+        }
         .with_conditioning(Conditioning::Raw)
         .with_composed_extract(ComposedExtract::new(32, 7));
         let mut pool = EntropyPool::new(config).expect("pool");

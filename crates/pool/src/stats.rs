@@ -308,7 +308,7 @@ pub struct ShardStats {
     /// How the shard's live instance synthesises noise variates —
     /// [`NoiseBackend::Scalar`] for replay-exact streams, or the
     /// statistically-equivalent batched engine. Always `Scalar` for
-    /// backends without simulated noise (trace replay, the OS pool).
+    /// every backend but the carry chain.
     pub noise_backend: NoiseBackend,
     /// Label of the shard's conditioning stage (`design_xor`,
     /// `xor:<rate>`, `von_neumann`, `raw`, `toeplitz:<ratio>`).

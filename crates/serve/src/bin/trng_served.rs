@@ -13,7 +13,6 @@
 //!             [--sources carry_chain,dual_osc,trace_replay,os_entropy]
 //!             [--coherence QUORUM] [--coherence-window N] [--coherence-snr X]
 //!             [--coherence-response journal|alarm-all]
-//!             [--noise-backend scalar|batched]
 //!             [--quota-rate BYTES_PER_SEC --quota-burst BYTES]
 //!             [--max-request BYTES] [--drain-deadline-ms MS]
 //!             [--serve-ms MS] [--deterministic] [--seed N]
@@ -31,7 +30,7 @@ use std::sync::Arc;
 use trng_core::trng::TrngConfig;
 use trng_pool::{
     CoherenceConfig, CoherenceResponse, ComposedExtract, Conditioning, DualOscConfig, EntropyPool,
-    MonitorConfig, NoiseBackend, PoolConfig, RecordedTrace, SourceSpec,
+    MonitorConfig, PoolConfig, RecordedTrace, SourceSpec,
 };
 use trng_serve::{QuotaConfig, ServeConfig, Server};
 
@@ -60,9 +59,6 @@ OPTIONS:
   --sources LIST          comma-separated backend per shard, overriding --shards:
                           carry_chain | dual_osc | trace_replay | os_entropy
                           (trace_replay self-captures a carry-chain trace at startup)
-  --noise-backend MODE    scalar (replay-exact, default) | batched (statistically
-                          equivalent sample-synchronous synthesis, ~an order of magnitude
-                          faster per raw bit; applies to simulated-noise shards)
   --coherence QUORUM      enable the cross-shard coherence detector (and the
                           per-shard jitter monitor it feeds on): alarm when the
                           same spectral line is elevated on QUORUM shards at
@@ -96,7 +92,6 @@ struct Args {
     coherence_window: usize,
     coherence_snr: f64,
     coherence_response: CoherenceResponse,
-    noise_backend: NoiseBackend,
     quota_rate: Option<f64>,
     quota_burst: Option<u64>,
     max_request: u32,
@@ -120,7 +115,6 @@ impl Default for Args {
             coherence_window: 16,
             coherence_snr: 4.0,
             coherence_response: CoherenceResponse::JournalOnly,
-            noise_backend: NoiseBackend::Scalar,
             quota_rate: None,
             quota_burst: None,
             max_request: 1 << 20,
@@ -212,20 +206,16 @@ fn parse_sources(list: &str) -> Result<Vec<String>, String> {
 
 /// Materialises `--sources` names into pool specs; a `trace_replay`
 /// entry self-captures a fresh carry-chain trace here, at startup.
-fn build_specs(
-    names: &[String],
-    seed: u64,
-    backend: NoiseBackend,
-) -> Result<Vec<SourceSpec>, String> {
+fn build_specs(names: &[String], seed: u64) -> Result<Vec<SourceSpec>, String> {
     let mut trace: Option<Arc<RecordedTrace>> = None;
     names
         .iter()
         .map(|name| {
             Ok(match name.as_str() {
                 "carry_chain" => SourceSpec::CarryChain,
-                "dual_osc" => SourceSpec::DualOscillator(Box::new(
-                    DualOscConfig::betrusted_default().with_backend(backend),
-                )),
+                "dual_osc" => {
+                    SourceSpec::DualOscillator(Box::new(DualOscConfig::betrusted_default()))
+                }
                 "trace_replay" => {
                     if trace.is_none() {
                         let captured = RecordedTrace::record(
@@ -284,11 +274,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     }
                 };
             }
-            "--noise-backend" => {
-                args.noise_backend = value("--noise-backend")?
-                    .parse()
-                    .map_err(|e: String| format!("--noise-backend: {e}"))?;
-            }
             "--quota-rate" => {
                 args.quota_rate = Some(parse(value("--quota-rate")?, "--quota-rate")?)
             }
@@ -335,7 +320,6 @@ fn main() -> ExitCode {
     let mut pool_config = PoolConfig::new(TrngConfig::paper_k1(), shards)
         .with_conditioning(args.conditioning)
         .with_seed(args.seed)
-        .with_noise_backend(args.noise_backend)
         .deterministic(args.deterministic);
     if let Some(composed) = args.composed {
         pool_config = pool_config.with_composed_extract(composed);
@@ -363,7 +347,7 @@ fn main() -> ExitCode {
         );
     }
     if let Some(names) = &args.sources {
-        let specs = match build_specs(names, args.seed, args.noise_backend) {
+        let specs = match build_specs(names, args.seed) {
             Ok(specs) => specs,
             Err(msg) => {
                 eprintln!("trng-served: {msg}");
@@ -381,14 +365,13 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "trng-served: bringing {} shard(s) online ({} backend, {} noise)...",
+        "trng-served: bringing {} shard(s) online ({} backend)...",
         shards,
         if args.deterministic {
             "deterministic"
         } else {
             "threaded"
         },
-        args.noise_backend,
     );
     if let Err(e) = pool.wait_online(Duration::from_secs(120)) {
         eprintln!("trng-served: pool never came online: {e}");

@@ -73,20 +73,6 @@ impl DualOscConfig {
         }
     }
 
-    /// Returns the geometry with both rings switched to `backend`.
-    ///
-    /// The dual-oscillator path has no whole-window engine, but
-    /// [`NoiseBackend::Batched`](trng_fpga_sim::noise::NoiseBackend::Batched)
-    /// still moves every ring's Gaussian draws onto the block ziggurat
-    /// (statistically equivalent, not draw-identical to the scalar
-    /// default).
-    #[must_use]
-    pub fn with_backend(mut self, backend: trng_fpga_sim::noise::NoiseBackend) -> Self {
-        self.slow.backend = backend;
-        self.fast.backend = backend;
-        self
-    }
-
     /// Nominal slow-ring period `2 · stages · stage_delay`.
     pub fn slow_period(&self) -> Ps {
         Ps::from_ps(2.0 * self.slow.stages as f64 * self.slow.stage_delay.as_ps())
@@ -377,10 +363,6 @@ impl EntropySource for DualOscillatorSource {
         self.sampler = build_sampler(&self.config, slow, self.seed, self.rebuilds)?;
         self.stuck = false;
         Ok(())
-    }
-
-    fn noise_backend(&self) -> trng_fpga_sim::noise::NoiseBackend {
-        self.config.slow.backend
     }
 }
 

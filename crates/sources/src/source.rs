@@ -257,8 +257,10 @@ pub trait EntropySource: fmt::Debug + Send {
 
     /// The noise-synthesis backend the live instance actually runs —
     /// published per shard so operators can tell replay-exact scalar
-    /// streams from batched ones. Backends without simulated noise
-    /// (trace replay, the OS pool) report the scalar default.
+    /// streams from batched ones. Only the carry chain runs the
+    /// batched engine; the dual-oscillator rings draw scalar normals,
+    /// and backends without simulated noise (trace replay, the OS
+    /// pool) report `Scalar` too.
     fn noise_backend(&self) -> NoiseBackend {
         NoiseBackend::Scalar
     }

@@ -43,8 +43,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --quiet
 # Timed regression gates: quick run of the hotpath bench, the only
 # bench CI runs. Tests prove behaviour; this bench measures, and every
 # gate in it is a constant ratio measured in the same process, so it
-# holds on any host: scalar raw bits within a fixed multiple of a
-# reference kernel, batched raw bits at least 9x scalar, the word-level
+# holds on any host: raw bits of the scalar oracle (named explicitly)
+# within a fixed multiple of a reference kernel, raw bits of the default
+# batched engine at least 9x scalar, the word-level
 # 90B gate at least 4x the per-bit one, per-shard and composed Toeplitz
 # pools at most 2x the design-XOR pool per output bit, and the OS-backed
 # pool faster than the simulated carry chain.

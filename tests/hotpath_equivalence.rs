@@ -64,16 +64,19 @@ fn fill_raw_matches_generate_raw_across_sweep() {
 
 #[test]
 fn fill_postprocessed_matches_generate_postprocessed_across_sweep() {
-    for (i, (config, label)) in sweep_configs().into_iter().enumerate() {
-        let seed = 2000 + i as u64;
-        let mut a = CarryChainTrng::new(config.clone(), seed).expect("build");
-        let mut b = CarryChainTrng::new(config, seed).expect("build");
+    for backend in [NoiseBackend::Scalar, NoiseBackend::Batched] {
+        for (i, (config, label)) in sweep_configs().into_iter().enumerate() {
+            let seed = 2000 + i as u64;
+            let config = config.with_noise_backend(backend);
+            let mut a = CarryChainTrng::new(config.clone(), seed).expect("build");
+            let mut b = CarryChainTrng::new(config, seed).expect("build");
 
-        let reference = pack(&a.generate_postprocessed(8 * 8));
-        let mut batch = vec![0u8; 8];
-        b.fill_postprocessed(&mut batch);
-        assert_eq!(batch, reference, "{label} seed {seed}");
-        assert_eq!(a.stats(), b.stats(), "{label} stats diverged");
+            let reference = pack(&a.generate_postprocessed(8 * 8));
+            let mut batch = vec![0u8; 8];
+            b.fill_postprocessed(&mut batch);
+            assert_eq!(batch, reference, "{backend:?} {label} seed {seed}");
+            assert_eq!(a.stats(), b.stats(), "{backend:?} {label} stats diverged");
+        }
     }
 }
 
@@ -112,10 +115,13 @@ fn snippet_and_extracted_paths_stay_interleavable() {
 fn ideal_config_also_equivalent() {
     // meta_window = 0 takes the deterministic-capture early return —
     // the other half of the capture code path.
-    let mut a = CarryChainTrng::new(TrngConfig::ideal(), 5).expect("build");
-    let mut b = CarryChainTrng::new(TrngConfig::ideal(), 5).expect("build");
-    let reference = pack(&a.generate_raw(64 * 8));
-    let mut batch = vec![0u8; 64];
-    b.fill_raw(&mut batch);
-    assert_eq!(batch, reference);
+    for backend in [NoiseBackend::Scalar, NoiseBackend::Batched] {
+        let config = TrngConfig::ideal().with_noise_backend(backend);
+        let mut a = CarryChainTrng::new(config.clone(), 5).expect("build");
+        let mut b = CarryChainTrng::new(config, 5).expect("build");
+        let reference = pack(&a.generate_raw(64 * 8));
+        let mut batch = vec![0u8; 64];
+        b.fill_raw(&mut batch);
+        assert_eq!(batch, reference, "{backend:?}");
+    }
 }

@@ -228,7 +228,6 @@ fn trimmed_battery_passes_in_tier1() {
     let composed = || {
         PoolConfig::new(TrngConfig::paper_k1(), 2)
             .with_conditioning(Conditioning::Raw)
-            .with_noise_backend(NoiseBackend::Batched)
             .with_composed_extract(ComposedExtract::new(32, 0x70E9))
             .with_seed(0xE47AC7)
             .deterministic(true)
@@ -288,7 +287,6 @@ fn sim_domain_throughput_scales_with_shard_count() {
     for (shards, expected) in EXPECTED_SIM_MBPS {
         let config = PoolConfig::new(TrngConfig::paper_k1(), shards)
             .with_conditioning(Conditioning::DesignXor)
-            .with_noise_backend(NoiseBackend::Batched)
             .with_seed(0xBE4C)
             .deterministic(true);
         let mut pool = EntropyPool::new(config).expect("pool");

@@ -751,23 +751,20 @@ fn metrics_report_conditioning_and_composed_extract() {
     }
 }
 
-/// The noise-backend knob is observable end to end: a pool brought up
-/// with [`PoolConfig::with_noise_backend`] labels every simulated-noise
-/// shard `"batched"` on the metrics scrape, a default pool labels them
-/// `"scalar"`, and the key is purely additive — every counter the old
-/// scrape carried is still present either way.
+/// The noise backend is observable end to end: a default pool labels
+/// every carry-chain shard `"batched"` on the metrics scrape, a pool
+/// whose base config names the scalar oracle labels them `"scalar"`,
+/// and the key is purely additive — every counter the old scrape
+/// carried is still present either way.
 #[test]
 fn metrics_report_the_active_noise_backend_per_shard() {
     use trng_pool::NoiseBackend;
 
-    let scrape = |backend: Option<NoiseBackend>| {
-        let mut config = PoolConfig::new(TrngConfig::paper_k1(), 2)
+    let scrape = |base: TrngConfig| {
+        let config = PoolConfig::new(base, 2)
             .with_conditioning(Conditioning::Raw)
             .with_seed(0xBA7C)
             .deterministic(true);
-        if let Some(backend) = backend {
-            config = config.with_noise_backend(backend);
-        }
         let server = Server::start(online_handle(config), ServeConfig::default()).expect("server");
         client::fetch(server.local_addr(), 2048).expect("fetch");
         let body =
@@ -776,8 +773,9 @@ fn metrics_report_the_active_noise_backend_per_shard() {
         body
     };
 
-    for (requested, label) in [(None, "scalar"), (Some(NoiseBackend::Batched), "batched")] {
-        let body = scrape(requested);
+    let scalar = TrngConfig::paper_k1().with_noise_backend(NoiseBackend::Scalar);
+    for (base, label) in [(TrngConfig::paper_k1(), "batched"), (scalar, "scalar")] {
+        let body = scrape(base);
         let mut lines = body.lines();
         assert_eq!(lines.next(), Some("healthy"));
         let json: String = lines.collect::<Vec<_>>().join("\n");
