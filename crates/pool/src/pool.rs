@@ -1391,6 +1391,7 @@ mod tests {
     use crate::shard::ShardFault;
     use crate::testing::{assert_stream_health_clean, dead_fault, PanickingSource};
     use trng_core::trng::TrngConfig;
+    use trng_fpga_sim::noise::NoiseBackend;
 
     fn small_pool(shards: usize) -> PoolConfig {
         PoolConfig::new(TrngConfig::paper_k1(), shards)
@@ -1920,7 +1921,6 @@ mod tests {
 
     #[test]
     fn noise_backend_knob_labels_carry_chain_shards() {
-        use trng_fpga_sim::noise::NoiseBackend;
         let mut pool = EntropyPool::new(small_pool(2)).expect("pool");
         let mut buf = [0u8; 512];
         pool.fill_bytes(&mut buf).expect("fill");
@@ -1955,7 +1955,6 @@ mod tests {
 
     #[test]
     fn batched_is_the_default_engine_at_every_layer() {
-        use trng_fpga_sim::noise::NoiseBackend;
         assert_eq!(NoiseBackend::default(), NoiseBackend::Batched);
         assert_eq!(TrngConfig::default().noise_backend, NoiseBackend::Batched);
         assert_eq!(TrngConfig::paper_k1().noise_backend, NoiseBackend::Batched);
@@ -2107,7 +2106,6 @@ mod tests {
 
     #[test]
     fn composed_stream_digest_is_pinned() {
-        use trng_fpga_sim::noise::NoiseBackend;
         // Scalar noise pins the interleaved input; the digest then pins
         // how the composed stage turns it into output bytes.
         let config = PoolConfig {
@@ -2132,7 +2130,7 @@ mod tests {
             .collect();
         let mut stage = ComposedStage::new(ComposedExtract::new(32, 7).with_ratio(3), 2015, 0.5);
         let mut oracle = stage.extractor.clone();
-        // 13-byte pieces end every other word in a 5-byte tail.
+        // Each 13-byte piece ends in a 5-byte tail word.
         for piece in input.chunks(13) {
             stage.absorb(piece);
         }
