@@ -9,12 +9,9 @@
 //! time, and [`compile_campaign`] maps every scenario phase onto every
 //! target shard as a [`ShardFault::Env`] injection.
 //!
-//! The conversion is exact for the fixed-rate conditioners: one output
-//! bit consumes `r` raw samples of `tA` each, so one byte spans
-//! `8 · r · tA` of simulated time. Von Neumann extraction is
-//! variable-rate; its *expected* consumption of 4 raw bits per output
-//! bit is used, making onsets approximate (the adversarial soak only
-//! runs Von Neumann rows where exact onset alignment is not asserted).
+//! The conversion is exact: one output bit consumes
+//! `r` = [`Conditioning::raw_bits_per_output`] raw samples of `tA`
+//! each, so one byte spans `8 · r · tA` of simulated time.
 
 use trng_fpga_sim::scenario::Scenario;
 use trng_fpga_sim::time::Ps;
@@ -22,28 +19,13 @@ use trng_model::params::DesignParams;
 
 use crate::shard::{Conditioning, FaultInjection, ShardFault};
 
-/// Expected raw bits consumed per conditioned output bit.
-fn raw_bits_per_output(conditioning: Conditioning, design: &DesignParams) -> f64 {
-    match conditioning {
-        Conditioning::DesignXor => f64::from(design.np),
-        Conditioning::Xor(r) => f64::from(r),
-        // Von Neumann keeps one bit per accepted pair and accepts a
-        // pair with probability 1/2 for a fair source: 4 raw bits per
-        // output bit in expectation.
-        Conditioning::VonNeumann => 4.0,
-        Conditioning::Raw => 1.0,
-        // The streaming Toeplitz block consumes ratio * 64 raw bits
-        // per 64-bit output word.
-        Conditioning::Toeplitz { ratio, .. } => f64::from(ratio),
-    }
-}
-
 /// Healthy bytes a shard has produced by simulated time `onset`.
 ///
 /// Each raw sample takes one accumulation interval `tA`, and one output
-/// byte consumes `8 · r` raw samples where `r` is the conditioning
-/// rate. Fractional bytes round *down*: the fault fires at the first
-/// whole byte at-or-after the onset, never before it.
+/// byte consumes `8 · r` raw samples where `r` is the conditioning's
+/// [`raw_bits_per_output`](Conditioning::raw_bits_per_output) at the
+/// design's native rate `np`. Fractional bytes round *down*: the fault
+/// fires at the first whole byte at-or-after the onset, never before it.
 ///
 /// # Examples
 ///
@@ -58,7 +40,8 @@ fn raw_bits_per_output(conditioning: Conditioning, design: &DesignParams) -> f64
 /// assert_eq!(onset_bytes(Ps::from_ms(2.0), Conditioning::Raw, &design), 25_000);
 /// ```
 pub fn onset_bytes(onset: Ps, conditioning: Conditioning, design: &DesignParams) -> u64 {
-    let byte_span_ps = 8.0 * raw_bits_per_output(conditioning, design) * design.t_a_ps();
+    let rate = conditioning.raw_bits_per_output(design.np);
+    let byte_span_ps = 8.0 * f64::from(rate) * design.t_a_ps();
     (onset.as_ps() / byte_span_ps).floor() as u64
 }
 
@@ -125,8 +108,9 @@ mod tests {
         assert_eq!(onset_bytes(onset, Conditioning::DesignXor, &design), 3571);
         assert_eq!(onset_bytes(onset, Conditioning::Xor(7), &design), 3571);
         assert_eq!(onset_bytes(onset, Conditioning::Xor(1), &design), 25_000);
-        assert_eq!(onset_bytes(onset, Conditioning::VonNeumann, &design), 6250);
         assert_eq!(onset_bytes(onset, Conditioning::Raw, &design), 25_000);
+        let toeplitz = Conditioning::Toeplitz { ratio: 5, seed: 1 };
+        assert_eq!(onset_bytes(onset, toeplitz, &design), 5000);
     }
 
     #[test]

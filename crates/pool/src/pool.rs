@@ -724,21 +724,21 @@ impl EntropyPool {
                 config.shards
             )));
         }
-        if let Conditioning::Toeplitz { ratio, .. } = config.conditioning {
-            if ratio == 0 {
-                return Err(PoolError::InvalidConfig(
-                    "Toeplitz conditioning ratio must be at least 1".to_string(),
-                ));
-            }
-            // The fixed-rate batch fetch computes a block's raw demand
-            // as `block_bytes · 8 · ratio`, exact only when the 64-bit
-            // emissions divide the block.
-            if !config.block_bytes.is_multiple_of(8) {
-                return Err(PoolError::InvalidConfig(format!(
-                    "Toeplitz conditioning needs block_bytes divisible by 8, got {}",
-                    config.block_bytes
-                )));
-            }
+        // Every backend validates its own native rate to at least 1, so
+        // the base design's `np` stands in for it here.
+        let mode = config.conditioning;
+        if mode.raw_bits_per_output(config.base.design.np) == 0 {
+            return Err(PoolError::InvalidConfig(format!(
+                "{mode} conditioning needs a raw-to-output ratio of at least 1"
+            )));
+        }
+        // A block's raw demand is `block_bytes · 8 · ratio`, exact only
+        // when the 64-bit Toeplitz emissions divide the block.
+        if matches!(mode, Conditioning::Toeplitz { .. }) && !config.block_bytes.is_multiple_of(8) {
+            return Err(PoolError::InvalidConfig(format!(
+                "Toeplitz conditioning needs block_bytes divisible by 8, got {}",
+                config.block_bytes
+            )));
         }
         if let Some(composed) = &config.composed {
             if composed.ratio == Some(0) {
@@ -1997,11 +1997,15 @@ mod tests {
     }
 
     #[test]
-    fn toeplitz_misconfigurations_are_rejected() {
-        let zero = small_pool(1).with_conditioning(Conditioning::Toeplitz { ratio: 0, seed: 1 });
-        match EntropyPool::new(zero) {
-            Err(PoolError::InvalidConfig(why)) => assert!(why.contains("ratio")),
-            other => panic!("ratio 0 accepted: {:?}", other.map(|_| ())),
+    fn conditioning_misconfigurations_are_rejected() {
+        for mode in [
+            Conditioning::Toeplitz { ratio: 0, seed: 1 },
+            Conditioning::Xor(0),
+        ] {
+            match EntropyPool::new(small_pool(1).with_conditioning(mode)) {
+                Err(PoolError::InvalidConfig(why)) => assert!(why.contains("ratio")),
+                other => panic!("{mode} accepted: {:?}", other.map(|_| ())),
+            }
         }
         // 64-bit emission blocks require block_bytes % 8 == 0.
         let ragged = small_pool(1)

@@ -22,7 +22,6 @@ use std::sync::Arc;
 
 use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::postprocess::XorCompressor;
-use trng_core::von_neumann::VonNeumann;
 use trng_extract::{leftover_hash_ratio, ToeplitzExtractor};
 use trng_fpga_sim::rng::SimRng;
 use trng_sources::{run_source_startup, EntropySource};
@@ -54,8 +53,6 @@ pub enum Conditioning {
     DesignXor,
     /// XOR compression at an explicit rate.
     Xor(u32),
-    /// Von Neumann extraction (unbiased output, variable rate).
-    VonNeumann,
     /// Raw bits, packed into bytes unconditioned.
     Raw,
     /// Seeded Toeplitz strong extraction
@@ -94,14 +91,28 @@ impl Conditioning {
         }
     }
 
-    /// Compact metrics label: `design_xor`, `xor:<rate>`,
-    /// `von_neumann`, `raw`, or `toeplitz:<ratio>` (the matrix seed is
-    /// configuration, not telemetry).
+    /// Raw bits consumed per output bit, for a source whose natural
+    /// XOR rate is `native_rate`. Every mode is fixed-rate, so a block
+    /// of `n` bytes consumes exactly `n · 8 ·` this many raw bits; the
+    /// shard sizes its raw fetches, [`onset_bytes`](crate::onset_bytes)
+    /// its byte spans and [`EntropyPool::new`](crate::EntropyPool::new)
+    /// its validation from this one answer.
+    pub fn raw_bits_per_output(self, native_rate: u32) -> u32 {
+        match self {
+            Conditioning::DesignXor => native_rate,
+            Conditioning::Xor(rate) => rate,
+            Conditioning::Raw => 1,
+            Conditioning::Toeplitz { ratio, .. } => ratio,
+        }
+    }
+
+    /// Compact metrics label: `design_xor`, `xor:<rate>`, `raw`, or
+    /// `toeplitz:<ratio>` (the matrix seed is configuration, not
+    /// telemetry).
     pub(crate) fn encode_label(self) -> u64 {
         let (tag, param) = match self {
             Conditioning::DesignXor => (0u64, 0u32),
             Conditioning::Xor(rate) => (1, rate),
-            Conditioning::VonNeumann => (2, 0),
             Conditioning::Raw => (3, 0),
             Conditioning::Toeplitz { ratio, .. } => (4, ratio),
         };
@@ -115,7 +126,6 @@ impl Conditioning {
         let param = encoded as u32;
         match encoded >> 32 {
             1 => format!("xor:{param}"),
-            2 => "von_neumann".to_string(),
             3 => "raw".to_string(),
             4 => format!("toeplitz:{param}"),
             _ => "design_xor".to_string(),
@@ -129,23 +139,17 @@ impl fmt::Display for Conditioning {
     }
 }
 
+/// The conditioning stage of one shard. Every mode consumes a fixed
+/// number of raw bits per output bit
+/// ([`Conditioning::raw_bits_per_output`]), so a block's raw demand is
+/// exactly computable up front (enables whole-byte batch fetching). The
+/// Toeplitz extractor is fixed-rate at block granularity: its 64-bit
+/// emissions divide the block exactly because block sizes are validated
+/// to a multiple of 8 bytes. Every block therefore ends on an output
+/// boundary, and an alarm resets the conditioner, so no raw bits carry
+/// across blocks.
 #[derive(Debug, Clone)]
 enum Conditioner {
-    FixedRate(FixedRate),
-    /// Consumption is data-dependent, so raw bits are gated and
-    /// conditioned one at a time.
-    VonNeumann(VonNeumann),
-}
-
-/// Conditioners that consume a *fixed* number of raw bits per output
-/// bit, making a block's raw demand exactly computable up front
-/// (enables whole-byte batch fetching). The Toeplitz extractor is
-/// fixed-rate at block granularity: its 64-bit emissions divide the
-/// block exactly because block sizes are validated to a multiple of 8
-/// bytes. Every block therefore ends on an output boundary, and an
-/// alarm resets the conditioner, so no raw bits carry across blocks.
-#[derive(Debug, Clone)]
-enum FixedRate {
     Xor(XorCompressor),
     Raw,
     Toeplitz(ToeplitzExtractor),
@@ -155,44 +159,40 @@ impl Conditioner {
     /// `shard_seed` derives the per-shard Toeplitz matrix lane; the
     /// other modes ignore it.
     fn new(mode: Conditioning, native_rate: u32, shard_seed: u64) -> Self {
-        let fixed = match mode {
-            Conditioning::DesignXor => FixedRate::Xor(XorCompressor::new(native_rate)),
-            Conditioning::Xor(np) => FixedRate::Xor(XorCompressor::new(np)),
-            Conditioning::VonNeumann => return Conditioner::VonNeumann(VonNeumann::new()),
-            Conditioning::Raw => FixedRate::Raw,
-            Conditioning::Toeplitz { ratio, seed } => FixedRate::Toeplitz(
+        match mode {
+            Conditioning::DesignXor | Conditioning::Xor(_) => {
+                Conditioner::Xor(XorCompressor::new(mode.raw_bits_per_output(native_rate)))
+            }
+            Conditioning::Raw => Conditioner::Raw,
+            Conditioning::Toeplitz { ratio, seed } => Conditioner::Toeplitz(
                 ToeplitzExtractor::from_seed(64, ratio as usize * 64, mix_seed(seed, shard_seed)),
             ),
-        };
-        Conditioner::FixedRate(fixed)
+        }
     }
 
     fn reset(&mut self) {
         match self {
-            Conditioner::FixedRate(FixedRate::Xor(c)) => c.reset(),
-            Conditioner::FixedRate(FixedRate::Raw) => {}
+            Conditioner::Xor(c) => c.reset(),
+            Conditioner::Raw => {}
             // Drops the partial input window; the seeded matrix is
             // configuration and survives so replay stays pure.
-            Conditioner::FixedRate(FixedRate::Toeplitz(t)) => t.reset(),
-            Conditioner::VonNeumann(v) => *v = VonNeumann::new(),
+            Conditioner::Toeplitz(t) => t.reset(),
         }
     }
-}
 
-impl FixedRate {
     /// Conditions the first `nbits` raw bits of `word` (stream-first
     /// bit at bit 63) and appends the output through `packer`.
     fn push_word(&mut self, word: u64, nbits: u32, packer: &mut BitPacker, out: &mut Vec<u8>) {
         match self {
-            FixedRate::Raw => packer.push(word, nbits, out),
-            FixedRate::Xor(c) => {
+            Conditioner::Raw => packer.push(word, nbits, out),
+            Conditioner::Xor(c) => {
                 let (bits, n) = c.push_word(word, nbits);
                 packer.push(bits, n, out);
             }
             // A Toeplitz emission carries the stream-first output bit
             // `y_0` at word bit 0; reversed, it takes the MSB of the
             // first byte and the block lands as 8 whole bytes.
-            FixedRate::Toeplitz(t) => {
+            Conditioner::Toeplitz(t) => {
                 if let Some(y) = t.push_word(word, nbits) {
                     packer.push(y.reverse_bits(), 64, out);
                 }
@@ -200,22 +200,13 @@ impl FixedRate {
         }
     }
 
-    /// Raw bits per output bit.
-    fn rate(&self) -> u64 {
-        match self {
-            FixedRate::Xor(c) => u64::from(c.rate()),
-            FixedRate::Raw => 1,
-            FixedRate::Toeplitz(t) => (t.input_block_bits() / t.output_block_bits()) as u64,
-        }
-    }
-
     /// Raw bits already absorbed toward the next output; zero between
     /// blocks.
     fn pending_raw_bits(&self) -> u64 {
         match self {
-            FixedRate::Xor(c) => u64::from(c.pending()),
-            FixedRate::Raw => 0,
-            FixedRate::Toeplitz(t) => t.pending_input_bits() as u64,
+            Conditioner::Xor(c) => u64::from(c.pending()),
+            Conditioner::Raw => 0,
+            Conditioner::Toeplitz(t) => t.pending_input_bits() as u64,
         }
     }
 }
@@ -244,8 +235,8 @@ impl BitPacker {
         self.len = n - free;
     }
 
-    /// Writes out the whole bytes still pending; a fixed-rate block
-    /// always ends on a byte boundary.
+    /// Writes out the whole bytes still pending; a block always ends
+    /// on a byte boundary.
     fn finish(&mut self, out: &mut Vec<u8>) {
         debug_assert_eq!(self.len % 8, 0);
         out.extend_from_slice(&self.acc.to_be_bytes()[..(self.len / 8) as usize]);
@@ -253,17 +244,17 @@ impl BitPacker {
     }
 }
 
-/// Fixed-rate conditioning (XOR / raw / Toeplitz): the block consumes
-/// exactly `block_bytes · 8 · rate` raw bits, so they are drawn
-/// through the batch API in chunks of up to 64 bytes and handled as
-/// `u64` words. Each chunk passes the health gate in full, word by
-/// word in stream order, before any of it enters the conditioner,
-/// which copies raw words, folds XOR groups or hashes Toeplitz blocks
-/// a word at a time. The per-bit [`OnlineHealth::push`] stays the
-/// oracle the word gate is differentially tested against. Returns
-/// `false` on an alarm.
-fn produce_fixed_rate(
-    conditioner: &mut FixedRate,
+/// Conditions one block: it consumes exactly `block_bytes · 8 ·
+/// raw_per_output` raw bits, drawn through the batch API in chunks of
+/// up to 64 bytes and handled as `u64` words. Each chunk passes the
+/// health gate in full, word by word in stream order, before any of it
+/// enters the conditioner, which copies raw words, folds XOR groups or
+/// hashes Toeplitz blocks a word at a time. The per-bit
+/// [`OnlineHealth::push`] stays the oracle the word gate is
+/// differentially tested against. Returns `false` on an alarm.
+fn produce_conditioned(
+    conditioner: &mut Conditioner,
+    raw_per_output: u32,
     source: &mut dyn EntropySource,
     health: &mut OnlineHealth,
     out: &mut Vec<u8>,
@@ -273,7 +264,7 @@ fn produce_fixed_rate(
     let mut chunk = [0u8; 64];
     let mut words = [0u64; 8];
     let mut packer = BitPacker::default();
-    let mut remaining = block_bytes * conditioner.rate() as usize;
+    let mut remaining = block_bytes * raw_per_output as usize;
     while remaining > 0 {
         let nbytes = remaining.min(chunk.len());
         source.fill_raw(&mut chunk[..nbytes]);
@@ -296,41 +287,6 @@ fn produce_fixed_rate(
     }
     packer.finish(out);
     debug_assert_eq!(out.len(), block_bytes);
-    true
-}
-
-/// Variable-rate conditioning (Von Neumann): consumption is
-/// data-dependent, so bits are drawn, gated and conditioned one at a
-/// time until the block fills or the raw-spend bound trips (a
-/// health-passing source that still starves the extractor, as
-/// adversarial patterns can, is itself an entropy failure). The bound
-/// is 64 times the fair-source expectation of 4 raw bits per output
-/// bit. Returns `false` on an alarm.
-fn produce_von_neumann(
-    vn: &mut VonNeumann,
-    source: &mut dyn EntropySource,
-    health: &mut OnlineHealth,
-    out: &mut Vec<u8>,
-    block_bytes: usize,
-) -> bool {
-    let max_raw = (block_bytes as u64 * 8).saturating_mul(4 * 64);
-    let mut raw_spent = 0u64;
-    let (mut byte, mut nbits) = (0u8, 0u32);
-    while out.len() < block_bytes {
-        let raw = source.next_raw_bit();
-        raw_spent += 1;
-        if raw_spent > max_raw || health.push(raw) == HealthStatus::Alarm {
-            return false;
-        }
-        if let Some(bit) = vn.push(raw) {
-            byte = byte << 1 | u8::from(bit);
-            nbits += 1;
-            if nbits == 8 {
-                out.push(byte);
-                (byte, nbits) = (0, 0);
-            }
-        }
-    }
     true
 }
 
@@ -638,11 +594,14 @@ impl Shard {
             self.active_fault = Some(i);
             self.publish_source_label();
         }
-        let (source, health) = (self.source.as_mut(), &mut self.health);
-        let clean = match &mut self.conditioner {
-            Conditioner::FixedRate(c) => produce_fixed_rate(c, source, health, out, block_bytes),
-            Conditioner::VonNeumann(v) => produce_von_neumann(v, source, health, out, block_bytes),
-        };
+        let clean = produce_conditioned(
+            &mut self.conditioner,
+            self.conditioning.raw_bits_per_output(self.native_rate),
+            self.source.as_mut(),
+            &mut self.health,
+            out,
+            block_bytes,
+        );
         if !clean {
             out.clear();
             self.raise_alarm();
@@ -931,7 +890,8 @@ mod tests {
 
     #[test]
     fn conditioning_rates_differ() {
-        // Raw packs every raw bit; DesignXor consumes np per bit.
+        // Raw packs every raw bit; every other mode consumes its rate
+        // per bit.
         let mk = |mode| {
             let s = shared();
             let mut shard = start(src(TrngConfig::paper_k1(), 9), pool(mode), &s, &journal());
@@ -946,8 +906,9 @@ mod tests {
         // Both include the 14336-raw-bit startup; the xor run then
         // needs 7x the raw bits of the raw run for its 32 bytes.
         assert_eq!(xor - raw, 32 * 8 * 6);
-        let vn = mk(Conditioning::VonNeumann);
-        assert!(vn > raw, "Von Neumann discards pairs");
+        assert_eq!(mk(Conditioning::Xor(3)) - raw, 32 * 8 * 2);
+        let toeplitz = mk(Conditioning::Toeplitz { ratio: 5, seed: 1 });
+        assert_eq!(toeplitz - raw, 32 * 8 * 4);
     }
 
     #[test]

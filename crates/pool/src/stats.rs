@@ -311,7 +311,7 @@ pub struct ShardStats {
     /// every backend but the carry chain.
     pub noise_backend: NoiseBackend,
     /// Label of the shard's conditioning stage (`design_xor`,
-    /// `xor:<rate>`, `von_neumann`, `raw`, `toeplitz:<ratio>`).
+    /// `xor:<rate>`, `raw`, `toeplitz:<ratio>`).
     pub conditioning: String,
 }
 
@@ -1060,7 +1060,6 @@ mod tests {
         for (mode, label) in [
             (Conditioning::DesignXor, "design_xor"),
             (Conditioning::Xor(3), "xor:3"),
-            (Conditioning::VonNeumann, "von_neumann"),
             (Conditioning::Raw, "raw"),
             (Conditioning::Toeplitz { ratio: 5, seed: 9 }, "toeplitz:5"),
         ] {

@@ -8,7 +8,7 @@
 //! ```text
 //! trng-served [--addr 127.0.0.1:7878] [--metrics-addr 127.0.0.1:7879 | --no-metrics]
 //!             [--shards 2] [--workers 4]
-//!             [--conditioning raw|design-xor|xor:N|von-neumann|toeplitz[:N]]
+//!             [--conditioning raw|design-xor|xor:N|toeplitz[:N]]
 //!             [--composed-extract auto|N]
 //!             [--sources carry_chain,dual_osc,trace_replay,os_entropy]
 //!             [--coherence QUORUM] [--coherence-window N] [--coherence-snr X]
@@ -50,7 +50,7 @@ OPTIONS:
   --no-metrics            disable the metrics endpoint
   --shards N              TRNG shards in the pool (default 2)
   --workers N             connection worker threads (default 4)
-  --conditioning MODE     raw | design-xor | xor:N | von-neumann | toeplitz[:N]
+  --conditioning MODE     raw | design-xor | xor:N | toeplitz[:N]
                           (default raw; bare toeplitz sizes N from the carry-chain
                           min-entropy claim via the leftover hash lemma at eps 2^-32)
   --composed-extract R    pool-level cross-shard Toeplitz stage on the interleaved
@@ -140,7 +140,6 @@ fn parse_conditioning(s: &str) -> Result<Conditioning, String> {
     match s {
         "raw" => Ok(Conditioning::Raw),
         "design-xor" => Ok(Conditioning::DesignXor),
-        "von-neumann" => Ok(Conditioning::VonNeumann),
         // Bare `toeplitz` sizes the compression ratio from the
         // carry-chain per-bit min-entropy claim (leftover hash lemma).
         "toeplitz" => {
@@ -420,4 +419,40 @@ fn main() -> ExitCode {
     let report = server.shutdown();
     eprintln!("trng-served: {report}");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_conditioning_maps_each_mode_to_its_variant() {
+        assert_eq!(parse_conditioning("raw"), Ok(Conditioning::Raw));
+        assert_eq!(
+            parse_conditioning("design-xor"),
+            Ok(Conditioning::DesignXor)
+        );
+        assert_eq!(parse_conditioning("xor:3"), Ok(Conditioning::Xor(3)));
+        // Bare `toeplitz` sizes the ratio from the paper_k1 claim at
+        // eps 2^-32, which the leftover hash lemma puts at 5.
+        let toeplitz = |ratio| Conditioning::Toeplitz {
+            ratio,
+            seed: TOEPLITZ_SEED,
+        };
+        assert_eq!(parse_conditioning("toeplitz"), Ok(toeplitz(5)));
+        assert_eq!(parse_conditioning("toeplitz:9"), Ok(toeplitz(9)));
+    }
+
+    #[test]
+    fn parse_conditioning_rejects_unknown_and_malformed_modes() {
+        let err = |s| parse_conditioning(s).expect_err(s);
+        for unknown in ["von-neumann", "bogus"] {
+            assert!(
+                err(unknown).contains("unknown conditioning mode"),
+                "{unknown}"
+            );
+        }
+        assert!(err("xor:x").contains("bad xor rate"));
+        assert!(err("toeplitz:x").contains("bad toeplitz ratio"));
+    }
 }

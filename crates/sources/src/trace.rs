@@ -10,10 +10,9 @@
 //! startup test, missed-edge check, statistics and incident journal
 //! all see exactly what they saw live. This holds at every point the
 //! pool actually reads the counters (startup completion and block
-//! boundaries) because fixed-rate consumption is whole-raw-byte
+//! boundaries) because every conditioning mode consumes a fixed number
+//! of raw bits per output bit, so every pool read is whole-raw-byte
 //! aligned; mid-byte reads floor to the previous byte checkpoint.
-//! Von Neumann conditioning consumes a data-dependent number of raw
-//! bits and is therefore outside the byte-exactness guarantee.
 //!
 //! When the trace is exhausted it wraps, and the checkpoint totals
 //! keep accumulating across passes so lifetime counters stay

@@ -26,6 +26,7 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --all --check
+    cargo fmt --check --manifest-path perfbench/Cargo.toml
 else
     echo "==> cargo fmt not installed; skipping format check"
 fi
@@ -33,6 +34,7 @@ fi
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"
     cargo clippy --offline --all-targets -- -D warnings
+    cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
 else
     echo "==> cargo clippy not installed; skipping lint"
 fi
