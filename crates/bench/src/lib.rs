@@ -28,10 +28,10 @@ pub const DEFAULT_SEQ_LEN: usize = 50_000;
 /// Maximum XOR compression rate explored, matching Table 1's "> 16".
 pub const MAX_NP: u32 = 16;
 
-/// `config` on the scalar noise engine. The seeded runs that
-/// EXPERIMENTS.md records were made on it, so every binary that
-/// simulates the TRNG starts from a configuration passed through here
-/// and keeps reproducing them byte for byte.
+/// `config` on the scalar noise engine. Every binary that simulates the
+/// TRNG starts from a configuration passed through here, so
+/// EXPERIMENTS.md's "Recorded outputs" are its prints verbatim and a
+/// change that moves the scalar stream shows up as a diff against them.
 pub fn scalar(config: TrngConfig) -> TrngConfig {
     config.with_noise_backend(NoiseBackend::Scalar)
 }

@@ -86,8 +86,8 @@ impl EntropyExtractor {
         self.extract_unpacked(snippet)
     }
 
-    /// Reference scalar pipeline, kept for lines wider than 64 taps
-    /// and as the equivalence oracle for [`EntropyExtractor::extract_word`].
+    /// Reference scalar pipeline: the oracle of [`extract_word`](Self::extract_word)
+    /// and the decode of hand-built snippets wider than 64 taps.
     fn extract_unpacked(&self, snippet: &Snippet) -> Option<ExtractedBit> {
         let combined = snippet.xor_vector();
         let coarse = downsample(&combined, self.k);

@@ -25,7 +25,7 @@ use trng_model::params::{DesignParams, ParamError, PlatformParams};
 
 use crate::bubble::BubbleFilter;
 use crate::extractor::{EntropyExtractor, ExtractedBit};
-use crate::snippet::{Snippet, SnippetKind};
+use crate::snippet::Snippet;
 
 use core::fmt;
 use std::error::Error;
@@ -228,6 +228,9 @@ pub enum BuildTrngError {
     Placement(PlacementError),
     /// Ring-oscillator configuration rejected.
     Oscillator(String),
+    /// Delay lines of `m` taps, more than the 64 a sampled line's
+    /// packed `u64` word holds.
+    LineTooWide(usize),
 }
 
 impl fmt::Display for BuildTrngError {
@@ -236,6 +239,7 @@ impl fmt::Display for BuildTrngError {
             BuildTrngError::Params(e) => write!(f, "invalid design parameters: {e}"),
             BuildTrngError::Placement(e) => write!(f, "invalid placement: {e}"),
             BuildTrngError::Oscillator(e) => write!(f, "invalid oscillator: {e}"),
+            BuildTrngError::LineTooWide(m) => write!(f, "{m}-tap delay lines exceed 64 taps"),
         }
     }
 }
@@ -245,7 +249,7 @@ impl Error for BuildTrngError {
         match self {
             BuildTrngError::Params(e) => Some(e),
             BuildTrngError::Placement(e) => Some(e),
-            BuildTrngError::Oscillator(_) => None,
+            BuildTrngError::Oscillator(_) | BuildTrngError::LineTooWide(_) => None,
         }
     }
 }
@@ -306,25 +310,31 @@ impl TrngStats {
 #[derive(Debug, Clone)]
 pub struct CarryChainTrng {
     config: TrngConfig,
-    oscillator: RingOscillator,
-    /// Sample-synchronous engine, present only on the
-    /// [`NoiseBackend::Batched`] hot path (and only when the placed
-    /// lines support it). When set it replaces the oscillator +
-    /// per-line sampler entirely.
-    engine: Option<BatchedRingEngine>,
-    lines: Vec<TappedDelayLine>,
+    /// The one engine this instance runs; the other is never built.
+    sampler: Sampler,
     extractor: EntropyExtractor,
     rng: SimRng,
     t: Ps,
     t_a: Ps,
     stats: TrngStats,
-    /// One reusable packed capture word per line — the hot path never
-    /// allocates per sample (`m ≤ 64`, which holds for every paper
-    /// configuration).
+    /// One reusable packed capture word per line (`m ≤ 64`, a build
+    /// rule): the hot path never allocates per sample.
     scratch_words: Vec<u64>,
-    /// Per-line edge-train cursors giving the sampler amortized O(1)
-    /// signal lookups instead of per-tap binary searches.
-    cursors: Vec<EdgeCursor>,
+}
+
+/// The noise engine behind a [`CarryChainTrng`].
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // one per instance; a box would cost a load per sample
+enum Sampler {
+    /// The sample-synchronous engine; it samples the lines itself.
+    Batched(BatchedRingEngine),
+    /// The scalar oscillator, sampled line by line through edge-train
+    /// cursors (amortised O(1) signal lookups).
+    Scalar {
+        oscillator: RingOscillator,
+        lines: Vec<TappedDelayLine>,
+        cursors: Vec<EdgeCursor>,
+    },
 }
 
 impl CarryChainTrng {
@@ -333,14 +343,17 @@ impl CarryChainTrng {
     /// # Errors
     ///
     /// Returns [`BuildTrngError`] if the design is inconsistent with
-    /// the platform, the placement violates fabric constraints, or the
-    /// oscillator configuration is invalid.
+    /// the platform, its lines are wider than 64 taps, the placement
+    /// violates fabric constraints, or the oscillator configuration is
+    /// invalid.
     pub fn new(config: TrngConfig, seed: u64) -> Result<Self, BuildTrngError> {
         config.design.validate(&config.platform)?;
-        let mut rng = SimRng::seed_from(seed);
-
         let n = config.design.n;
         let m = config.design.m;
+        if m > 64 {
+            return Err(BuildTrngError::LineTooWide(m));
+        }
+        let mut rng = SimRng::seed_from(seed);
         let tstep = Ps::from_ps(config.platform.tstep_ps);
 
         // Place the design (even for ideal TDC: placement is still
@@ -365,8 +378,9 @@ impl CarryChainTrng {
             history_window: history,
             backend: NoiseBackend::Scalar,
         };
-        let oscillator = RingOscillator::new(ro_config.clone(), rng.fork())
-            .map_err(BuildTrngError::Oscillator)?;
+        // Drawn whichever engine runs, so a refused batched build runs
+        // exactly the stream of a named `Scalar` one.
+        let oscillator_rng = rng.fork();
 
         let lines: Vec<TappedDelayLine> = (0..n)
             .map(|i| {
@@ -393,10 +407,10 @@ impl CarryChainTrng {
 
         // Batched backend: build the sample-synchronous engine from the
         // same ring configuration and placed lines. A layout the engine
-        // refuses (wide lines, non-monotone taps, a sampling window that
-        // could hold more edges per node than the engine keeps) runs
-        // the scalar oscillator exactly as if `Scalar` had been named:
-        // the engine's fork comes from a copy, kept only on success.
+        // refuses (non-monotone taps, a sampling window that could hold
+        // more edges per node than the engine keeps) runs the scalar
+        // oscillator exactly as if `Scalar` had been named: the
+        // engine's fork comes from a copy, kept only on success.
         let engine = match config.noise_backend {
             NoiseBackend::Batched => {
                 let mut ahead = rng.clone();
@@ -408,19 +422,25 @@ impl CarryChainTrng {
             }
             NoiseBackend::Scalar => None,
         };
+        let sampler = match engine {
+            Some(engine) => Sampler::Batched(engine),
+            None => Sampler::Scalar {
+                oscillator: RingOscillator::new(ro_config, oscillator_rng)
+                    .map_err(BuildTrngError::Oscillator)?,
+                lines,
+                cursors: vec![EdgeCursor::new(); n],
+            },
+        };
 
         Ok(CarryChainTrng {
             config,
-            oscillator,
-            engine,
-            lines,
+            sampler,
             extractor,
             rng,
             t: Ps::ZERO,
             t_a,
             stats: TrngStats::default(),
             scratch_words: vec![0; n],
-            cursors: vec![EdgeCursor::new(); n],
         })
     }
 
@@ -444,37 +464,38 @@ impl CarryChainTrng {
     /// sample statistics.
     fn sample_words(&mut self) -> u64 {
         let xor = self.capture_xor();
-        self.stats.samples += 1;
-        self.record_kind(Snippet::classify_word(xor, self.config.design.m));
+        let mut kinds = [0; 4];
+        kinds[kind_index(xor, edge_mask(self.config.design.m))] = 1;
+        self.record_kinds(kinds);
         xor
     }
 
     /// [`sample_words`](Self::sample_words) without the statistics,
-    /// which the caller accounts for.
-    ///
-    /// This is the allocation-free hot path for `m ≤ 64`. It is bit-
-    /// and RNG-draw-identical to the `Vec<bool>` pipeline: taps are
-    /// captured in the same order through the same metastability
-    /// model, only the storage (packed words) and the signal lookup
-    /// (resumable [`EdgeCursor`] per line) differ.
+    /// which the caller accounts for. Allocation-free: both engines
+    /// capture into the reused packed scratch words.
     fn capture_xor(&mut self) -> u64 {
         self.t += self.t_a;
-        if let Some(engine) = &mut self.engine {
-            // Batched backend: synthesis up to the sampling window +
-            // run-length sampling in one call; metastability coins
-            // still come from the TRNG's own RNG in ascending-tap order.
-            engine.sample_words(self.t, &mut self.rng, &mut self.scratch_words)
-        } else {
-            self.oscillator.advance_to(self.t);
-            let mut xor = 0u64;
-            for i in 0..self.lines.len() {
-                let node = self.oscillator.node(i);
-                let word =
-                    self.lines[i].sample_into(&node, self.t, &mut self.cursors[i], &mut self.rng);
-                self.scratch_words[i] = word;
-                xor ^= word;
+        match &mut self.sampler {
+            // Synthesis up to the sampling window + run-length sampling
+            // in one call; metastability coins still come from the
+            // TRNG's own RNG in ascending-tap order.
+            Sampler::Batched(engine) => {
+                engine.sample_words(self.t, &mut self.rng, &mut self.scratch_words)
             }
-            xor
+            Sampler::Scalar {
+                oscillator,
+                lines,
+                cursors,
+            } => {
+                oscillator.advance_to(self.t);
+                let mut xor = 0u64;
+                for (i, (line, cursor)) in lines.iter().zip(cursors.iter_mut()).enumerate() {
+                    let word = line.sample_into(&oscillator.node(i), self.t, cursor, &mut self.rng);
+                    self.scratch_words[i] = word;
+                    xor ^= word;
+                }
+                xor
+            }
         }
     }
 
@@ -482,43 +503,25 @@ impl CarryChainTrng {
     /// only when the sample-synchronous engine was built (requested *and*
     /// the layout supports it); otherwise [`NoiseBackend::Scalar`].
     pub fn active_noise_backend(&self) -> NoiseBackend {
-        if self.engine.is_some() {
-            NoiseBackend::Batched
-        } else {
-            NoiseBackend::Scalar
+        match self.sampler {
+            Sampler::Batched(_) => NoiseBackend::Batched,
+            Sampler::Scalar { .. } => NoiseBackend::Scalar,
         }
     }
 
-    /// Counts one sample's kind. Flag arithmetic, not a branch: the
-    /// kind changes from sample to sample (about one in four is
-    /// double-edge on `paper_k1`).
-    fn record_kind(&mut self, kind: SnippetKind) {
-        self.stats.regular += u64::from(kind == SnippetKind::Regular);
-        self.stats.double_edge += u64::from(kind == SnippetKind::DoubleEdge);
-        self.stats.bubbled += u64::from(kind == SnippetKind::Bubbled);
+    /// Adds a census of samples, indexed by [`kind_index`], to the
+    /// statistics.
+    fn record_kinds(&mut self, kinds: [u64; 4]) {
+        self.stats.samples += kinds.iter().sum::<u64>();
+        self.stats.regular += kinds[1];
+        self.stats.double_edge += kinds[2];
+        self.stats.bubbled += kinds[3];
     }
 
     /// Advances one accumulation interval and captures the raw snippet.
     pub fn sample_snippet(&mut self) -> Snippet {
-        let m = self.config.design.m;
-        if m <= 64 {
-            let _ = self.sample_words();
-            return Snippet::from_packed_words(&self.scratch_words, m);
-        }
-        // Wide-line fallback: the original unpacked pipeline.
-        self.t += self.t_a;
-        self.oscillator.advance_to(self.t);
-        let words: Vec<Vec<bool>> = (0..self.config.design.n)
-            .map(|i| {
-                let node = self.oscillator.node(i);
-                self.lines[i].sample(&node, self.t, &mut self.rng)
-            })
-            .collect();
-        let snippet = Snippet::new(words);
-        self.stats.samples += 1;
-        let kind = snippet.classify();
-        self.record_kind(kind);
-        snippet
+        let _ = self.sample_words();
+        Snippet::from_packed_words(&self.scratch_words, self.config.design.m)
     }
 
     /// Generates one raw bit with full decode information.
@@ -528,14 +531,10 @@ impl CarryChainTrng {
     /// priority encoder's default in that case — see
     /// [`CarryChainTrng::next_raw_bit`].
     pub fn next_extracted(&mut self) -> Option<ExtractedBit> {
-        let m = self.config.design.m;
-        let out = if m <= 64 {
-            let xor = self.sample_words();
-            self.extractor.extract_word(xor, m as u32)
-        } else {
-            let snippet = self.sample_snippet();
-            self.extractor.extract(&snippet)
-        };
+        let xor = self.sample_words();
+        let out = self
+            .extractor
+            .extract_word(xor, self.config.design.m as u32);
         self.stats.missed_edges += u64::from(out.is_none());
         out
     }
@@ -577,48 +576,29 @@ impl CarryChainTrng {
     /// but allocation-free in steady state: the whole
     /// sample→extract→pack pipeline runs on reused scratch words.
     ///
-    /// For `m ≤ 64` each step samples, decodes and packs a window in
-    /// one loop, and the statistics census (samples, snippet kinds,
-    /// missed edges) is added to [`TrngStats`] once per call; the
-    /// result and the statistics after the call are those of
+    /// Each step samples, decodes and packs a window in one loop, and
+    /// the statistics census (samples, snippet kinds, missed edges) is
+    /// added to [`TrngStats`] once per call; the result and the
+    /// statistics after the call are those of
     /// [`next_raw_bit`](Self::next_raw_bit) called `8 · out.len()`
     /// times.
     pub fn fill_raw(&mut self, out: &mut [u8]) {
         let m = self.config.design.m;
-        if m > 64 {
-            for byte in out {
-                let mut b = 0u8;
-                for _ in 0..8 {
-                    b = b << 1 | u8::from(self.next_raw_bit());
-                }
-                *byte = b;
-            }
-            return;
-        }
-        // Edge mask of `Snippet::classify_word`: bit j flags taps j and
-        // j + 1 differing.
-        let edge_taps = if m < 2 { 0 } else { u64::MAX >> (65 - m) };
-        // Indexed by `Snippet::classify_word`'s taxonomy: no edge,
-        // regular, double edge, bubbled.
+        let edges = edge_mask(m);
         let mut kinds = [0u64; 4];
         let mut missed = 0u64;
         for byte in out.iter_mut() {
             let mut b = 0u8;
             for _ in 0..8 {
                 let xor = self.capture_xor();
-                let diff = (xor ^ (xor >> 1)) & edge_taps;
-                let bubbled = diff & (diff >> 1) != 0;
-                kinds[diff.count_ones().min(2) as usize + usize::from(bubbled)] += 1;
+                kinds[kind_index(xor, edges)] += 1;
                 let decoded = self.extractor.extract_word(xor, m as u32);
                 missed += u64::from(decoded.is_none());
                 b = b << 1 | u8::from(decoded.is_none_or(|e| e.bit));
             }
             *byte = b;
         }
-        self.stats.samples += 8 * out.len() as u64;
-        self.stats.regular += kinds[1];
-        self.stats.double_edge += kinds[2];
-        self.stats.bubbled += kinds[3];
+        self.record_kinds(kinds);
         self.stats.missed_edges += missed;
     }
 
@@ -647,6 +627,21 @@ impl CarryChainTrng {
     pub fn raw_bits(&mut self) -> RawBits<'_> {
         RawBits { trng: self }
     }
+}
+
+/// Edge mask for `m`-tap lines (`4 ≤ m ≤ 64` by the design and build
+/// rules): bit j flags taps j and j + 1 differing.
+fn edge_mask(m: usize) -> u64 {
+    u64::MAX >> (65 - m)
+}
+
+/// A captured XOR word's kind in `Snippet::classify_word`'s order: no
+/// edge, regular, double edge, bubbled. Flag arithmetic, not a branch:
+/// about one sample in four is double-edge on `paper_k1`.
+fn kind_index(xor: u64, edge_mask: u64) -> usize {
+    let diff = (xor ^ (xor >> 1)) & edge_mask;
+    let bubbled = diff & (diff >> 1) != 0;
+    diff.count_ones().min(2) as usize + usize::from(bubbled)
 }
 
 /// Iterator over raw bits of a [`CarryChainTrng`].
@@ -833,6 +828,16 @@ mod tests {
             CarryChainTrng::new(bad, 0),
             Err(BuildTrngError::Placement(_))
         ));
+        // A valid design whose lines do not pack into one word.
+        let wide = TrngConfig::paper_k1().with_design(DesignParams {
+            m: 68,
+            ..DesignParams::paper_k1()
+        });
+        assert!(wide.design.validate(&wide.platform).is_ok());
+        assert_eq!(
+            CarryChainTrng::new(wide, 0).err(),
+            Some(BuildTrngError::LineTooWide(68))
+        );
     }
 
     #[test]

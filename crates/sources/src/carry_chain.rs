@@ -167,6 +167,19 @@ mod tests {
     }
 
     #[test]
+    fn lines_wider_than_a_word_are_a_build_error() {
+        let wide = TrngConfig::paper_k1().with_design(trng_model::params::DesignParams {
+            m: 68,
+            ..trng_model::params::DesignParams::paper_k1()
+        });
+        let err = CarryChainSource::new(wide, 1).expect_err("m = 68 is refused");
+        assert!(
+            matches!(&err, SourceError::Build(why) if why.contains("68-tap delay lines")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn rebuild_banks_time_and_derives_the_next_lane() {
         let mut src = source(9);
         let mut buf = [0u8; 32];

@@ -1,8 +1,9 @@
 //! Equivalence suite for the packed, allocation-free sampling hot
-//! path: across seeded sweeps of (n, m, k, np) the batch byte APIs
-//! must reproduce the scalar `Vec<bool>` pipeline bit for bit, with
-//! identical statistics — the packed rewrite is a layout and lookup
-//! change, never a semantic one.
+//! path: across seeded sweeps of (n, m, k, np), on both noise engines,
+//! the batch byte APIs must reproduce the per-bit path
+//! (`generate_raw`, `generate_postprocessed`) bit for bit, with
+//! identical statistics — batching is a layout change, never a
+//! semantic one.
 
 use trng_core::trng::{CarryChainTrng, TrngConfig};
 use trng_fpga_sim::noise::NoiseBackend;
@@ -18,11 +19,12 @@ fn pack(bits: &[bool]) -> Vec<u8> {
 
 /// The (n, m, k, np) sweep: every combination is a valid design on
 /// the paper's platform (m multiple of 4 and of k, m·tstep > d0,
-/// n odd, placement fits the fabric).
+/// n odd, placement fits the fabric). m = 64 is the widest line a
+/// build accepts, where the edge mask is `u64::MAX >> 1`.
 fn sweep_configs() -> Vec<(TrngConfig, String)> {
     let mut configs = Vec::new();
     for &n in &[3usize, 5] {
-        for &m in &[32usize, 36, 48] {
+        for &m in &[32usize, 36, 48, 64] {
             for &k in &[1u32, 2, 4] {
                 for &np in &[1u32, 7] {
                     if !m.is_multiple_of(k as usize) {
@@ -52,6 +54,7 @@ fn fill_raw_matches_generate_raw_across_sweep() {
             let config = config.with_noise_backend(backend);
             let mut a = CarryChainTrng::new(config.clone(), seed).expect("build");
             let mut b = CarryChainTrng::new(config, seed).expect("build");
+            assert_eq!(b.active_noise_backend(), backend, "{label}");
 
             let reference = pack(&a.generate_raw(32 * 8));
             let mut batch = vec![0u8; 32];
