@@ -12,7 +12,7 @@
 //!    are encoded as '0' and even positions as '1'".
 
 use crate::bubble::BubbleFilter;
-use crate::downsample::{downsample, downsample_word};
+use crate::downsample::downsample_word;
 use crate::snippet::Snippet;
 
 /// Result of decoding one snippet.
@@ -80,17 +80,15 @@ impl EntropyExtractor {
     /// (a configuration error, rejected earlier by
     /// [`DesignParams::validate`](trng_model::params::DesignParams::validate)).
     pub fn extract(&self, snippet: &Snippet) -> Option<ExtractedBit> {
-        if let Some(word) = snippet.xor_word() {
-            return self.extract_word(word, snippet.taps_per_line() as u32);
-        }
-        self.extract_unpacked(snippet)
+        self.extract_word(snippet.xor_word(), snippet.taps_per_line() as u32)
     }
 
-    /// Reference scalar pipeline: the oracle of [`extract_word`](Self::extract_word)
-    /// and the decode of hand-built snippets wider than 64 taps.
+    /// Reference scalar pipeline over unpacked bit vectors: the test
+    /// oracle of [`extract_word`](Self::extract_word).
+    #[cfg(test)]
     fn extract_unpacked(&self, snippet: &Snippet) -> Option<ExtractedBit> {
         let combined = snippet.xor_vector();
-        let coarse = downsample(&combined, self.k);
+        let coarse = crate::downsample::downsample(&combined, self.k);
         let code = self.filter.apply(&coarse);
         let first = code.windows(2).position(|w| w[0] != w[1])?;
         Some(ExtractedBit {
@@ -100,11 +98,9 @@ impl EntropyExtractor {
     }
 
     /// Allocation-free decode of one XOR-combined code word of
-    /// `m ≤ 64` taps (tap 0 in the LSB) — the sampling hot path.
-    ///
-    /// Bit-identical to [`EntropyExtractor::extract`] on a snippet
-    /// whose XOR vector packs to `code`: same down-sampling, same
-    /// bubble filter, same first-edge priority encode.
+    /// `m ≤ 64` taps (tap 0 in the LSB) — the one decode path, run by
+    /// [`extract`](Self::extract) and the sampling hot path alike:
+    /// down-sampling, bubble filter, first-edge priority encode.
     ///
     /// # Panics
     ///
@@ -242,40 +238,38 @@ mod tests {
 
     #[test]
     fn packed_word_path_matches_unpacked_reference() {
-        // Every filter × every k over pseudo-random 36-tap codes: the
-        // packed decode must agree with the scalar reference pipeline
-        // in both presence and value of the extracted bit.
+        // Every filter × every k over pseudo-random 36-tap captures of
+        // one to three lines: the packed decode of the XOR word must
+        // agree with the scalar reference pipeline in both presence and
+        // value of the extracted bit.
         let filters = [
             BubbleFilter::Priority,
             BubbleFilter::Majority3,
             BubbleFilter::None,
         ];
+        let word = |seed: u64| {
+            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left((seed % 61) as u32)
+        };
         for &filter in &filters {
             for k in [1u32, 2, 4] {
                 let ext = EntropyExtractor::new(k, filter);
                 for seed in 0..200u64 {
-                    let word = seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .rotate_left((seed % 61) as u32);
-                    let code: Vec<bool> = (0..36).map(|j| word >> j & 1 == 1).collect();
-                    let snippet = Snippet::new(vec![code]);
-                    let packed = ext.extract_word(snippet.xor_word().unwrap(), 36);
+                    let n = 1 + (seed % 3) as usize;
+                    let lines: Vec<Vec<bool>> = (0..n as u64)
+                        .map(|i| {
+                            let w = word(seed + 1000 * i);
+                            (0..36).map(|j| w >> j & 1 == 1).collect()
+                        })
+                        .collect();
+                    let snippet = Snippet::new(lines);
+                    let packed = ext.extract_word(snippet.xor_word(), 36);
                     let reference = ext.extract_unpacked(&snippet);
                     assert_eq!(packed, reference, "filter {filter:?} k {k} seed {seed}");
                     assert_eq!(ext.extract(&snippet), reference);
                 }
             }
         }
-    }
-
-    #[test]
-    fn wide_snippets_use_the_scalar_fallback() {
-        let ext = EntropyExtractor::default();
-        let mut code = vec![true; 70];
-        code.extend(vec![false; 30]);
-        let out = ext.extract(&Snippet::new(vec![code])).unwrap();
-        assert_eq!(out.edge_position, 69);
-        assert!(!out.bit);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod postprocess;
 pub mod resources;
 pub mod restart;
 pub mod rng_adapter;
-pub mod rtl;
 pub mod self_timed;
 pub mod selftest;
 pub mod snippet;
@@ -60,11 +59,8 @@ pub use postprocess::XorCompressor;
 pub use resources::{estimate, estimate_usage, ResourceBreakdown};
 pub use restart::RestartMatrix;
 pub use rng_adapter::TrngRng;
-pub use rtl::{extract_packed, PackedWord};
 pub use self_timed::{SelfTimedConfig, SelfTimedTrng};
-pub use selftest::{
-    claimed_min_entropy, run_startup, run_startup_test, StartupReport, StartupSource,
-};
+pub use selftest::{claimed_min_entropy, run_startup, StartupReport, StartupSource};
 pub use snippet::{Snippet, SnippetKind};
 pub use trng::{BuildTrngError, CarryChainTrng, TrngConfig, TrngStats};
 pub use von_neumann::VonNeumann;

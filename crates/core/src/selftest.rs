@@ -4,7 +4,7 @@
 //! AIS-31-class TRNGs gate their output behind two mechanisms:
 //!
 //! * a **start-up test** executed once after reset, before any bit is
-//!   released (here: [`run_startup_test`], the FIPS 140-2-style quartet
+//!   released (here: [`run_startup`], the FIPS 140-2-style quartet
 //!   on the first post-processed sample, plus a missed-edge check on
 //!   the raw stream);
 //! * **continuous online tests** on the raw (pre-conditioning) bits
@@ -49,7 +49,7 @@ pub fn claimed_min_entropy(config: &TrngConfig) -> Result<f64, ParamError> {
 
 /// Detailed outcome of one start-up test run.
 ///
-/// Produced by [`run_startup_test`]; a source may only go online when
+/// Produced by [`run_startup`]; a source may only go online when
 /// [`passed`](StartupReport::passed) holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StartupReport {
@@ -180,40 +180,6 @@ impl StartupSource for CarryChainTrng {
     }
 }
 
-/// Runs the start-up self-test on `trng`, feeding every raw bit drawn
-/// through `health` and compressing with `compressor` — the carry-chain
-/// form of [`run_startup`].
-///
-/// Multi-instance deployments (e.g. the `trng-pool` crate) gate shard
-/// admission and *re*-admission after a quarantine through this test.
-/// The caller owns `health`: alarms raised during the run stay latched,
-/// so a defective source is visible both through the returned report
-/// and through `health.status()`.
-///
-/// # Examples
-///
-/// ```
-/// use trng_core::health::OnlineHealth;
-/// use trng_core::postprocess::XorCompressor;
-/// use trng_core::selftest::{claimed_min_entropy, run_startup_test};
-/// use trng_core::trng::{CarryChainTrng, TrngConfig};
-///
-/// let config = TrngConfig::paper_k1();
-/// let mut health = OnlineHealth::new(claimed_min_entropy(&config)?);
-/// let mut compressor = XorCompressor::new(config.design.np);
-/// let mut trng = CarryChainTrng::new(config, 7)?;
-/// let report = run_startup_test(&mut trng, &mut health, &mut compressor);
-/// assert!(report.passed(), "{report}");
-/// # Ok::<(), trng_core::trng::BuildTrngError>(())
-/// ```
-pub fn run_startup_test(
-    trng: &mut CarryChainTrng,
-    health: &mut OnlineHealth,
-    compressor: &mut XorCompressor,
-) -> StartupReport {
-    run_startup(trng, health, compressor)
-}
-
 /// The start-up self-test on any [`StartupSource`]: draws raw bits
 /// until `compressor` has emitted [`STARTUP_BITS`] output bits, gating
 /// every raw bit through `health`, then judges the output sample and
@@ -231,6 +197,29 @@ pub fn run_startup_test(
 /// loop over `next_raw_bit`, `OnlineHealth::push` and
 /// `XorCompressor::push` leaves; that loop is kept as the oracle of a
 /// differential test.
+///
+/// Multi-instance deployments (e.g. the `trng-pool` crate) gate shard
+/// admission and *re*-admission after a quarantine through this test.
+/// The caller owns `health`: alarms raised during the run stay latched,
+/// so a defective source is visible both through the returned report
+/// and through `health.status()`.
+///
+/// # Examples
+///
+/// ```
+/// use trng_core::health::OnlineHealth;
+/// use trng_core::postprocess::XorCompressor;
+/// use trng_core::selftest::{claimed_min_entropy, run_startup};
+/// use trng_core::trng::{CarryChainTrng, TrngConfig};
+///
+/// let config = TrngConfig::paper_k1();
+/// let mut health = OnlineHealth::new(claimed_min_entropy(&config)?);
+/// let mut compressor = XorCompressor::new(config.design.np);
+/// let mut trng = CarryChainTrng::new(config, 7)?;
+/// let report = run_startup(&mut trng, &mut health, &mut compressor);
+/// assert!(report.passed(), "{report}");
+/// # Ok::<(), trng_core::trng::BuildTrngError>(())
+/// ```
 pub fn run_startup<S: StartupSource + ?Sized>(
     source: &mut S,
     health: &mut OnlineHealth,
@@ -340,7 +329,7 @@ mod tests {
         let mut compressor = XorCompressor::new(config.design.np);
         let mut trng = CarryChainTrng::new(config, seed).expect("build");
         let mut health = OnlineHealth::new(claim);
-        let report = run_startup_test(&mut trng, &mut health, &mut compressor);
+        let report = run_startup(&mut trng, &mut health, &mut compressor);
         (trng, health, report)
     }
 

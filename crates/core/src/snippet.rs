@@ -34,19 +34,13 @@ use core::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snippet {
-    /// Packed tap bits: `chunks_per_line` words per line, LSB of a
-    /// line's first word = tap 0. Bits past `m` in the last word of a
-    /// line are always zero.
+    /// Packed tap bits: one word per line, LSB = tap 0. Bits past `m`
+    /// are always zero.
     words: Vec<u64>,
     /// Number of delay lines `n`.
     n: usize,
-    /// Taps per line `m`.
+    /// Taps per line `m` (`1..=64`).
     m: usize,
-}
-
-/// Number of `u64` words needed for one `m`-tap line.
-fn chunks_for(m: usize) -> usize {
-    m.div_ceil(64)
 }
 
 /// Figure-4 taxonomy of a snippet.
@@ -79,25 +73,25 @@ impl Snippet {
     ///
     /// # Panics
     ///
-    /// Panics if there are no lines, any line is empty, or lines have
-    /// unequal lengths.
+    /// Panics if there are no lines, any line is empty or longer than
+    /// 64 taps, or lines have unequal lengths.
     pub fn new(lines: Vec<Vec<bool>>) -> Self {
         assert!(!lines.is_empty(), "snippet needs at least one line");
         let m = lines[0].len();
-        assert!(m > 0, "lines must be non-empty");
+        assert_taps(m);
         assert!(
             lines.iter().all(|l| l.len() == m),
             "all lines must have equal length"
         );
-        let chunks = chunks_for(m);
-        let mut words = vec![0u64; lines.len() * chunks];
-        for (i, line) in lines.iter().enumerate() {
-            for (j, &b) in line.iter().enumerate() {
-                words[i * chunks + j / 64] |= u64::from(b) << (j % 64);
-            }
-        }
         Snippet {
-            words,
+            words: lines
+                .iter()
+                .map(|line| {
+                    line.iter()
+                        .enumerate()
+                        .fold(0u64, |w, (j, &b)| w | u64::from(b) << j)
+                })
+                .collect(),
             n: lines.len(),
             m,
         }
@@ -105,18 +99,14 @@ impl Snippet {
 
     /// Wraps already-packed line words (one `u64` per line, tap 0 in
     /// the LSB) — the allocation-light entry used by the sampling hot
-    /// path for `m ≤ 64`.
+    /// path.
     ///
     /// # Panics
     ///
     /// Panics if `lines` is empty or `m` is not in `1..=64`.
     pub fn from_packed_words(lines: &[u64], m: usize) -> Self {
         assert!(!lines.is_empty(), "snippet needs at least one line");
-        assert!(m >= 1, "lines must be non-empty");
-        assert!(
-            m <= 64,
-            "packed construction supports at most 64 taps, got {m}"
-        );
+        assert_taps(m);
         let mask = u64::MAX >> (64 - m);
         Snippet {
             words: lines.iter().map(|&w| w & mask).collect(),
@@ -142,8 +132,7 @@ impl Snippet {
     /// Panics if `i` or `j` is out of range.
     pub fn bit(&self, i: usize, j: usize) -> bool {
         assert!(i < self.n && j < self.m, "tap ({i}, {j}) out of range");
-        let chunks = chunks_for(self.m);
-        self.words[i * chunks + j / 64] >> (j % 64) & 1 == 1
+        self.words[i] >> j & 1 == 1
     }
 
     /// The raw lines, unpacked to bit vectors (for figures/stattests
@@ -154,52 +143,27 @@ impl Snippet {
             .collect()
     }
 
-    /// The packed XOR of all lines, `chunks` words with tap 0 in the
-    /// LSB of word 0.
-    fn xor_words(&self) -> Vec<u64> {
-        let chunks = chunks_for(self.m);
-        let mut x = vec![0u64; chunks];
-        for i in 0..self.n {
-            for (xc, &w) in x.iter_mut().zip(&self.words[i * chunks..(i + 1) * chunks]) {
-                *xc ^= w;
-            }
-        }
-        x
-    }
-
-    /// The XOR of all lines as a single packed word (tap 0 in the
-    /// LSB), when the snippet fits one word (`m ≤ 64`) — the
-    /// allocation-free form the extractor hot path consumes.
-    pub fn xor_word(&self) -> Option<u64> {
-        if self.m > 64 {
-            return None;
-        }
-        Some(self.words.iter().fold(0u64, |x, &w| x ^ w))
+    /// The XOR of all lines as one packed word (tap 0 in the LSB) —
+    /// the form the extractor and the classifier consume.
+    pub fn xor_word(&self) -> u64 {
+        self.words.iter().fold(0u64, |x, &w| x ^ w)
     }
 
     /// The bit-wise XOR of all lines — the first stage of the entropy
     /// extractor (Figure 5). Every oscillator transition inside the
     /// observation window appears as one edge in this vector.
     pub fn xor_vector(&self) -> Vec<bool> {
-        let x = self.xor_words();
-        (0..self.m)
-            .map(|j| x[j / 64] >> (j % 64) & 1 == 1)
-            .collect()
+        let x = self.xor_word();
+        (0..self.m).map(|j| x >> j & 1 == 1).collect()
     }
 
     /// Positions `j` where `xor_vector[j] != xor_vector[j+1]`, i.e. the
     /// boundaries at which the combined code changes value.
     pub fn edge_positions(&self) -> Vec<usize> {
-        let x = self.xor_words();
-        let mut out = Vec::new();
-        for j in 0..self.m.saturating_sub(1) {
-            let a = x[j / 64] >> (j % 64) & 1;
-            let b = x[(j + 1) / 64] >> ((j + 1) % 64) & 1;
-            if a != b {
-                out.push(j);
-            }
-        }
-        out
+        let x = self.xor_word();
+        (0..self.m.saturating_sub(1))
+            .filter(|&j| (x >> j ^ x >> (j + 1)) & 1 == 1)
+            .collect()
     }
 
     /// Classifies the snippet per Figure 4.
@@ -208,29 +172,11 @@ impl Snippet {
     /// event (an isolated flipped bit), not as genuine double edges;
     /// genuine double edges are ~`d0/tstep` ≈ 28 taps apart.
     pub fn classify(&self) -> SnippetKind {
-        if let Some(x) = self.xor_word() {
-            return Snippet::classify_word(x, self.m);
-        }
-        let edges = self.edge_positions();
-        match edges.len() {
-            0 => SnippetKind::NoEdge,
-            1 => SnippetKind::Regular,
-            _ => {
-                // Adjacent edge pairs (distance 1) indicate an isolated
-                // flipped bit: a bubble.
-                let has_bubble = edges.windows(2).any(|w| w[1] - w[0] == 1);
-                if has_bubble {
-                    SnippetKind::Bubbled
-                } else {
-                    SnippetKind::DoubleEdge
-                }
-            }
-        }
+        Snippet::classify_word(self.xor_word(), self.m)
     }
 
     /// Classifies a packed XOR-combined code word (`m ≤ 64`, tap 0 in
-    /// the LSB) without materializing a snippet — the allocation-free
-    /// twin of [`Snippet::classify`] used by the sampling hot path.
+    /// the LSB) without materializing a snippet.
     ///
     /// # Panics
     ///
@@ -243,21 +189,44 @@ impl Snippet {
         if m < 2 {
             return SnippetKind::NoEdge;
         }
-        // Bit j set iff taps j and j+1 differ — the edge positions.
-        let diff = (xor ^ (xor >> 1)) & (u64::MAX >> (64 - (m - 1) as u32));
-        // Adjacent set bits in `diff` are edges one tap apart: an
-        // isolated flipped bit, i.e. a bubble (so at least two edges).
-        // Indexed rather than matched: the kind is data-dependent on
-        // every sample, and a branch on it mispredicts.
         const BY_INDEX: [SnippetKind; 4] = [
             SnippetKind::NoEdge,
             SnippetKind::Regular,
             SnippetKind::DoubleEdge,
             SnippetKind::Bubbled,
         ];
-        let bubbled = diff & (diff >> 1) != 0;
-        BY_INDEX[diff.count_ones().min(2) as usize + usize::from(bubbled)]
+        BY_INDEX[kind_index(xor, edge_mask(m))]
     }
+}
+
+/// Panics unless `m` is a legal line width: one word, `1..=64` taps.
+fn assert_taps(m: usize) {
+    assert!(m >= 1, "lines must be non-empty");
+    assert!(
+        m <= 64,
+        "packed construction supports at most 64 taps, got {m}"
+    );
+}
+
+/// Edge mask for `m`-tap lines (`2 ≤ m ≤ 64`): bit j flags taps j and
+/// j + 1 differing.
+#[inline]
+pub(crate) fn edge_mask(m: usize) -> u64 {
+    u64::MAX >> (65 - m)
+}
+
+/// The snippet census: a captured XOR word's kind as an index into
+/// no edge, regular, double edge, bubbled — [`Snippet::classify_word`]'s
+/// order. Adjacent set bits in the edge word are edges one tap apart:
+/// an isolated flipped bit, i.e. a bubble (so at least two edges).
+/// Flag arithmetic, not a branch: the kind is data-dependent on every
+/// sample (about one in four is double-edge on `paper_k1`), and a
+/// branch on it mispredicts.
+#[inline]
+pub(crate) fn kind_index(xor: u64, edge_mask: u64) -> usize {
+    let diff = (xor ^ (xor >> 1)) & edge_mask;
+    let bubbled = diff & (diff >> 1) != 0;
+    diff.count_ones().min(2) as usize + usize::from(bubbled)
 }
 
 impl fmt::Display for Snippet {
@@ -368,22 +337,15 @@ mod tests {
     }
 
     #[test]
-    fn wide_snippet_uses_multiple_words() {
-        // m = 100 spans two u64 chunks; edge sits across the boundary.
-        let mut line = vec![true; 70];
-        line.extend(vec![false; 30]);
-        let s = Snippet::new(vec![line.clone()]);
-        assert_eq!(s.taps_per_line(), 100);
-        assert_eq!(s.edge_positions(), vec![69]);
-        assert_eq!(s.classify(), SnippetKind::Regular);
-        assert_eq!(s.xor_vector(), line);
-        assert_eq!(s.lines(), vec![line]);
+    #[should_panic(expected = "at most 64 taps")]
+    fn packed_constructor_rejects_wide_lines() {
+        let _ = Snippet::from_packed_words(&[0, 0], 65);
     }
 
     #[test]
     #[should_panic(expected = "at most 64 taps")]
-    fn packed_constructor_rejects_wide_lines() {
-        let _ = Snippet::from_packed_words(&[0, 0], 65);
+    fn bool_constructor_rejects_wide_lines() {
+        let _ = Snippet::new(vec![vec![true; 65]]);
     }
 
     #[test]

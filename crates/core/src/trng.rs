@@ -25,7 +25,7 @@ use trng_model::params::{DesignParams, ParamError, PlatformParams};
 
 use crate::bubble::BubbleFilter;
 use crate::extractor::{EntropyExtractor, ExtractedBit};
-use crate::snippet::Snippet;
+use crate::snippet::{edge_mask, kind_index, Snippet};
 
 use core::fmt;
 use std::error::Error;
@@ -622,40 +622,6 @@ impl CarryChainTrng {
             *byte = b;
         }
     }
-
-    /// An iterator over raw bits (borrows the generator).
-    pub fn raw_bits(&mut self) -> RawBits<'_> {
-        RawBits { trng: self }
-    }
-}
-
-/// Edge mask for `m`-tap lines (`4 ≤ m ≤ 64` by the design and build
-/// rules): bit j flags taps j and j + 1 differing.
-fn edge_mask(m: usize) -> u64 {
-    u64::MAX >> (65 - m)
-}
-
-/// A captured XOR word's kind in `Snippet::classify_word`'s order: no
-/// edge, regular, double edge, bubbled. Flag arithmetic, not a branch:
-/// about one sample in four is double-edge on `paper_k1`.
-fn kind_index(xor: u64, edge_mask: u64) -> usize {
-    let diff = (xor ^ (xor >> 1)) & edge_mask;
-    let bubbled = diff & (diff >> 1) != 0;
-    diff.count_ones().min(2) as usize + usize::from(bubbled)
-}
-
-/// Iterator over raw bits of a [`CarryChainTrng`].
-#[derive(Debug)]
-pub struct RawBits<'a> {
-    trng: &'a mut CarryChainTrng,
-}
-
-impl Iterator for RawBits<'_> {
-    type Item = bool;
-
-    fn next(&mut self) -> Option<bool> {
-        Some(self.trng.next_raw_bit())
-    }
 }
 
 #[cfg(test)]
@@ -847,13 +813,6 @@ mod tests {
         assert_eq!(a.generate_raw(200), b.generate_raw(200));
         let mut c = CarryChainTrng::new(TrngConfig::paper_k1(), 100).expect("build");
         assert_ne!(a.generate_raw(200), c.generate_raw(200));
-    }
-
-    #[test]
-    fn raw_bits_iterator_yields() {
-        let mut trng = CarryChainTrng::new(TrngConfig::paper_k1(), 1).expect("build");
-        let v: Vec<bool> = trng.raw_bits().take(32).collect();
-        assert_eq!(v.len(), 32);
     }
 
     #[test]

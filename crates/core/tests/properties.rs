@@ -11,7 +11,6 @@ use trng_core::health::{
     HealthStatus, OnlineHealth, RepetitionCountTest, ADAPTIVE_PROPORTION_WINDOW,
 };
 use trng_core::postprocess::XorCompressor;
-use trng_core::rtl::{extract_packed, PackedWord};
 use trng_core::snippet::{Snippet, SnippetKind};
 use trng_testkit::prng::{Rng, StdRng};
 use trng_testkit::prop::{pick, vec_bool};
@@ -154,20 +153,6 @@ props! {
         assert_eq!(s.xor_vector(), expected);
     }
 
-    fn packed_extractor_is_equivalent_to_golden_model(rng) {
-        let n_lines = rng.gen_range(1usize..4);
-        let lines: Vec<Vec<bool>> = (0..n_lines)
-            .map(|_| (0..36).map(|_| rng.gen::<bool>()).collect())
-            .collect();
-        let k = pick(rng, &[1u32, 2, 4]);
-        // RTL-vs-reference equivalence over arbitrary captures
-        // (including bubbles, double edges and no-edge words).
-        let golden = EntropyExtractor::new(k, BubbleFilter::Priority);
-        let expected = golden.extract(&Snippet::new(lines.clone()));
-        let packed: Vec<PackedWord> = lines.iter().map(|l| PackedWord::pack(l)).collect();
-        let got = extract_packed(&packed, k);
-        assert_eq!(got, expected);
-    }
 }
 
 /// Claims spanning the cutoff range: repetition cutoffs 401 down to 21.

@@ -56,7 +56,6 @@ pub mod ring_oscillator;
 pub mod rng;
 pub mod scenario;
 pub mod time;
-pub mod trace;
 
 pub use batch::BatchedRingEngine;
 pub use delay_line::TappedDelayLine;

@@ -409,19 +409,10 @@ impl RngCore for SimRng {
     }
 }
 
-/// A tiny, fast, deterministic 64-bit mixer (SplitMix64 finalizer).
-///
-/// Used to derive per-site process-variation streams from a device
-/// seed plus site coordinates without constructing a full RNG per
-/// site. The output is a high-quality 64-bit hash of the input.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The SplitMix64 mixer, used here to derive per-site process-variation
+/// streams from a device seed plus site coordinates without
+/// constructing a full RNG per site.
+pub use trng_testkit::prng::splitmix64;
 
 /// Maps a 64-bit hash to a uniform `f64` in `[0, 1)`.
 #[inline]

@@ -4,9 +4,9 @@
 //!
 //! A shard only contributes bytes while `Online`. Admission (and
 //! *re*-admission after a quarantine) is gated by the AIS-31-style
-//! start-up self-test ([`run_source_startup`], the backend-agnostic form
-//! of [`trng_core::selftest::run_startup_test`]); while online, every raw bit feeds the SP 800-90B continuous
-//! tests *before* it may enter the conditioning stage, and a block is
+//! start-up self-test ([`run_source_startup`], the [`EntropySource`]
+//! form of [`trng_core::selftest::run_startup`]); while online, every
+//! raw bit feeds the SP 800-90B continuous tests *before* it may enter the conditioning stage, and a block is
 //! only released to the pool once every bit in it passed. An alarm
 //! therefore discards the whole in-flight block — no byte derived from
 //! a suspect stretch of the raw stream can reach a consumer.

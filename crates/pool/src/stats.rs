@@ -625,9 +625,15 @@ impl PoolStats {
     /// in the *same* simulated window, so N healthy shards deliver
     /// ~N× the single-instance rate.
     ///
+    /// With a composed extract stage the shards produce its input, so
+    /// their bits are divided by the stage's `ratio`: the rate is the
+    /// stage's output, not the raw bits it consumes.
+    ///
     /// Returns 0.0 before any shard has produced bytes.
     pub fn sim_throughput_bps(&self) -> f64 {
-        let bits: u64 = self.shards.iter().map(|s| s.bytes_produced * 8).sum();
+        let produced: u64 = self.shards.iter().map(|s| s.bytes_produced * 8).sum();
+        let ratio = self.composed.as_ref().map_or(1, |c| c.ratio);
+        let bits = produced as f64 / f64::from(ratio);
         let window = self
             .shards
             .iter()
@@ -637,7 +643,7 @@ impl PoolStats {
         if window.is_zero() {
             0.0
         } else {
-            bits as f64 / window.as_secs_f64()
+            bits / window.as_secs_f64()
         }
     }
 }
@@ -752,6 +758,21 @@ mod tests {
             coherence: None,
         };
         assert!((single.sim_throughput_bps() - 0.8e6).abs() < 1.0);
+
+        // A composed stage turns `ratio` raw bits into one output bit:
+        // the same 4 shards at ratio 5 deliver 3.2 / 5 = 0.64 Mb/s.
+        let composed = PoolStats {
+            composed: Some(ComposedStats {
+                ratio: 5,
+                epsilon_log2: 32,
+                input_claim_min_entropy: 0.42,
+                claimed_min_entropy: 0.49999,
+                measured_min_entropy: 0.0,
+                bytes_extracted: 800,
+            }),
+            ..stats
+        };
+        assert!((composed.sim_throughput_bps() - 0.64e6).abs() < 1.0);
     }
 
     fn sample_stats() -> PoolStats {

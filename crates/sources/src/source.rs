@@ -285,9 +285,8 @@ impl StartupSource for dyn EntropySource + '_ {
 /// [`EntropySource`], gating every raw bit drawn through `health` and
 /// compressing with `compressor` — [`trng_core::selftest::run_startup`]
 /// on the backend, so every backend admits through the same checks,
-/// thresholds and draw order as
-/// [`trng_core::selftest::run_startup_test`] (and the carry-chain
-/// adapter on exactly the bits the bare generator would).
+/// thresholds and draw order as the bare carry-chain generator (and
+/// the carry-chain adapter on exactly the bits the generator would).
 pub fn run_source_startup(
     source: &mut dyn EntropySource,
     health: &mut OnlineHealth,

@@ -229,15 +229,28 @@ impl Ais31Report {
 }
 
 impl fmt::Display for Ais31Report {
+    /// One line per test, then the verdict with the number of tests
+    /// that ran and the names of those the sequence was too short for.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (name, v) in &self.verdicts {
             writeln!(f, "  {name:<20} {v}")?;
         }
+        let too_short: Vec<&str> = self
+            .verdicts
+            .iter()
+            .filter(|&&(_, v)| v == Ais31Verdict::TooShort)
+            .map(|&(name, _)| name)
+            .collect();
         write!(
             f,
-            "  => {}",
-            if self.all_passed() { "PASS" } else { "FAIL" }
-        )
+            "  => {} ({} tests ran",
+            if self.all_passed() { "PASS" } else { "FAIL" },
+            self.verdicts.len() - too_short.len()
+        )?;
+        if !too_short.is_empty() {
+            write!(f, "; too short: {}", too_short.join(", "))?;
+        }
+        f.write_str(")")
     }
 }
 
@@ -345,6 +358,27 @@ mod tests {
         assert_eq!(t8_entropy(&bits), Ais31Verdict::TooShort);
         // Too-short never fails the report.
         assert!(run_ais31(&bits).all_passed());
+    }
+
+    #[test]
+    fn summary_counts_only_the_tests_that_ran() {
+        // Long enough for T1–T8, too short for T0's 3 145 728 bits.
+        let report = run_ais31(&random_bits(400_000, 43));
+        assert_eq!(report.verdicts[0].1, Ais31Verdict::TooShort);
+        let text = format!("{report}");
+        let summary = text.lines().last().expect("summary line");
+        assert_eq!(
+            summary, "  => PASS (6 tests ran; too short: T0 disjointness)",
+            "{text}"
+        );
+
+        let all_ran = Ais31Report {
+            verdicts: vec![("T1 monobit", Ais31Verdict::Pass)],
+        };
+        assert_eq!(
+            format!("{all_ran}"),
+            "  T1 monobit           pass\n  => PASS (1 tests ran)"
+        );
     }
 
     #[test]

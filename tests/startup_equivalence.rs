@@ -10,7 +10,7 @@ use std::sync::Arc;
 use trng_core::health::{HealthStatus, OnlineHealth};
 use trng_core::postprocess::XorCompressor;
 use trng_core::selftest::{
-    claimed_min_entropy, run_startup_test, StartupReport, StartupSource, STARTUP_BITS,
+    claimed_min_entropy, run_startup, StartupReport, StartupSource, STARTUP_BITS,
 };
 use trng_core::trng::{CarryChainTrng, TrngConfig};
 use trng_fpga_sim::noise::NoiseBackend;
@@ -165,7 +165,7 @@ fn check_source(
     )
 }
 
-/// The carry-chain path (`run_startup_test`) on the bare generator.
+/// The carry-chain path (`run_startup`) on the bare generator.
 fn check_carry_chain(case: &str, config: &TrngConfig, seed: u64) -> StartupReport {
     let claim = claimed_min_entropy(config).expect("valid");
     assert_matches_oracle(
@@ -174,7 +174,7 @@ fn check_carry_chain(case: &str, config: &TrngConfig, seed: u64) -> StartupRepor
         claim,
         config.design.np,
         &[],
-        run_startup_test,
+        run_startup,
         |t: &CarryChainTrng| {
             let s = t.stats();
             vec![
