@@ -153,6 +153,34 @@ props! {
         assert_eq!(s.xor_vector(), expected);
     }
 
+    fn packed_extractor_is_equivalent_to_golden_model(rng) {
+        let n_lines = rng.gen_range(1usize..4);
+        let lines: Vec<Vec<bool>> = (0..n_lines)
+            .map(|_| (0..36).map(|_| rng.gen::<bool>()).collect())
+            .collect();
+        let k = pick(rng, &[1u32, 2, 4]);
+        let filter = pick(
+            rng,
+            &[BubbleFilter::Priority, BubbleFilter::Majority3, BubbleFilter::None],
+        );
+        // Golden model over unpacked vectors: XOR stage, down-sampling,
+        // bubble filter, first-edge priority encode — checked against
+        // the packed word path on arbitrary captures (including
+        // bubbles, double edges and no-edge words).
+        let combined: Vec<bool> = (0..36)
+            .map(|j| lines.iter().fold(false, |acc, l| acc ^ l[j]))
+            .collect();
+        let code = filter.apply(&downsample(&combined, k));
+        let expected = code.windows(2).position(|w| w[0] != w[1]);
+        let packed: Vec<u64> = lines
+            .iter()
+            .map(|l| l.iter().enumerate().fold(0u64, |w, (j, &b)| w | (u64::from(b) << j)))
+            .collect();
+        let got = EntropyExtractor::new(k, filter)
+            .extract(&Snippet::from_packed_words(&packed, 36));
+        assert_eq!(got.map(|o| o.edge_position), expected);
+        assert_eq!(got.map(|o| o.bit), expected.map(|p| p % 2 == 0));
+    }
 }
 
 /// Claims spanning the cutoff range: repetition cutoffs 401 down to 21.
